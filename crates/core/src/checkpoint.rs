@@ -38,21 +38,16 @@
 //! uninterrupted.
 
 use crate::communities::CommunityAnalysisConfig;
-use crate::network::{MetricSeries, MetricSeriesConfig};
+use crate::network::{day_row, snapshot_days, DayRow, MetricSeries, MetricSeriesConfig};
 use osn_community::{CommunityTracker, SnapshotSummary, TrackerOutput, TrackerState};
 use osn_graph::atomicfile::write_bytes_atomic;
 use osn_graph::{Day, EventLog, ReplayCheckpoint, Replayer, Time};
 use osn_metrics::engine::{EngineKind, EngineState};
+use osn_metrics::largest_component;
 use osn_metrics::supervisor::{
     chaos_gate, supervised_call, try_par_map_labeled, FailureKind, RunPolicy, TaskError,
     TaskFailure,
 };
-use osn_metrics::{
-    average_clustering, avg_path_length_over_component, avg_path_length_sampled,
-    degree_assortativity,
-};
-use osn_stats::sampling::derive_seed;
-use osn_stats::{rng_from_seed, Series};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -157,19 +152,6 @@ fn check_or_init_meta(dir: &Path, expected: &str) -> Result<(), CheckpointStoreE
             Ok(())
         }
     }
-}
-
-/// The snapshot days a `DailySnapshots::new(log, first_day, stride)`
-/// iteration would visit.
-fn snapshot_days(log: &EventLog, first_day: Day, stride: Day) -> Vec<Day> {
-    assert!(stride > 0, "stride must be positive");
-    let mut days = Vec::new();
-    let mut d = first_day;
-    while d <= log.end_day() {
-        days.push(d);
-        d += stride;
-    }
-    days
 }
 
 /// Checkpoint of the replay position right after `day` completed.
@@ -289,14 +271,6 @@ fn load_quarantine(path: &Path) -> Result<BTreeMap<Day, QuarantinedTask>, Checkp
 // Metrics (Figure 1c–f)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct MetricRow {
-    avg_degree: f64,
-    path_length: Option<f64>,
-    clustering: f64,
-    assortativity: Option<f64>,
-}
-
 const ROWS_MAGIC: &str = "#%osn-rows v1";
 
 fn metrics_meta_text(log: &EventLog, cfg: &MetricSeriesConfig) -> String {
@@ -313,7 +287,7 @@ fn metrics_meta_text(log: &EventLog, cfg: &MetricSeriesConfig) -> String {
     )
 }
 
-fn render_rows(rows: &BTreeMap<Day, MetricRow>) -> String {
+fn render_rows(rows: &BTreeMap<Day, DayRow>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{ROWS_MAGIC}");
     for (day, r) in rows {
@@ -329,7 +303,7 @@ fn render_rows(rows: &BTreeMap<Day, MetricRow>) -> String {
     out
 }
 
-fn load_rows(path: &Path) -> Result<BTreeMap<Day, MetricRow>, CheckpointStoreError> {
+fn load_rows(path: &Path) -> Result<BTreeMap<Day, DayRow>, CheckpointStoreError> {
     let Some(text) = read_optional(path)? else {
         return Ok(BTreeMap::new());
     };
@@ -350,7 +324,7 @@ fn load_rows(path: &Path) -> Result<BTreeMap<Day, MetricRow>, CheckpointStoreErr
         let day: Day = f[1]
             .parse()
             .map_err(|_| corrupt(path, format!("bad day '{}'", f[1])))?;
-        let row = MetricRow {
+        let row = DayRow {
             avg_degree: parse_f64_hex(f[2]).map_err(|r| corrupt(path, r))?,
             path_length: parse_opt_f64_hex(f[3]).map_err(|r| corrupt(path, r))?,
             clustering: parse_f64_hex(f[4]).map_err(|r| corrupt(path, r))?,
@@ -371,7 +345,7 @@ fn resume_replayer<'a>(
     log: &'a EventLog,
     dir: &Path,
     days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
+    rows: &BTreeMap<Day, DayRow>,
     quarantined: &BTreeMap<Day, QuarantinedTask>,
 ) -> io::Result<(Replayer<'a>, usize)> {
     let contiguous = days
@@ -406,7 +380,7 @@ fn resume_engine_state<'a>(
     log: &'a EventLog,
     dir: &Path,
     days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
+    rows: &BTreeMap<Day, DayRow>,
     quarantined: &BTreeMap<Day, QuarantinedTask>,
 ) -> io::Result<(EngineState<'a>, usize)> {
     let contiguous = days
@@ -417,7 +391,7 @@ fn resume_engine_state<'a>(
         if let Some(text) = read_optional(&dir.join("replay.ckpt"))? {
             if let Ok(cp) = ReplayCheckpoint::from_text(&text) {
                 if cp.day == days[contiguous - 1] {
-                    if let Ok(st) = EngineState::seed(log, &cp, &Default::default()) {
+                    if let Ok(st) = EngineState::seed(log, &cp) {
                         return Ok((st, contiguous));
                     }
                 }
@@ -493,7 +467,7 @@ fn persist_metric_state(
     log: &EventLog,
     dir: &Path,
     days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
+    rows: &BTreeMap<Day, DayRow>,
     quarantined: &BTreeMap<Day, QuarantinedTask>,
 ) -> Result<(), CheckpointStoreError> {
     write_bytes_atomic(&dir.join("rows.txt"), render_rows(rows).as_bytes())?;
@@ -518,32 +492,19 @@ fn persist_metric_state(
 /// quarantined days (they are reported, never blended).
 fn assemble_metric_series(
     days: &[Day],
-    rows: &BTreeMap<Day, MetricRow>,
+    rows: &BTreeMap<Day, DayRow>,
     quarantined: &BTreeMap<Day, QuarantinedTask>,
     rows_path: &Path,
 ) -> Result<MetricSeries, CheckpointStoreError> {
-    let mut out = MetricSeries {
-        avg_degree: Series::new("avg_degree"),
-        path_length: Series::new("avg_path_length"),
-        clustering: Series::new("avg_clustering"),
-        assortativity: Series::new("assortativity"),
-    };
+    let mut out = MetricSeries::new();
     for &day in days {
         if quarantined.contains_key(&day) {
             continue;
         }
-        let Some(r) = rows.get(&day) else {
+        let Some(row) = rows.get(&day) else {
             return Err(corrupt(rows_path, format!("missing day {day}")));
         };
-        let d = day as f64;
-        out.avg_degree.push(d, r.avg_degree);
-        if let Some(p) = r.path_length {
-            out.path_length.push(d, p);
-        }
-        out.clustering.push(d, r.clustering);
-        if let Some(a) = r.assortativity {
-            out.assortativity.push(d, a);
-        }
+        out.push(day, row);
     }
     Ok(out)
 }
@@ -600,8 +561,6 @@ fn run_metrics_batch(
         cfg.workers
     };
     let batch_cap = (workers * 2).max(1);
-    let path_every = cfg.path_every.max(1);
-    let (seed, path_sample, clustering_sample) = (cfg.seed, cfg.path_sample, cfg.clustering_sample);
     let scfg = policy.supervisor_config(workers);
     let chaos = policy.chaos.as_ref();
 
@@ -610,7 +569,7 @@ fn run_metrics_batch(
     let mut batch: Vec<(usize, Day, osn_graph::CsrGraph)> = Vec::new();
 
     let flush = |batch: &mut Vec<(usize, Day, osn_graph::CsrGraph)>,
-                 rows: &mut BTreeMap<Day, MetricRow>,
+                 rows: &mut BTreeMap<Day, DayRow>,
                  quarantined: &mut BTreeMap<Day, QuarantinedTask>|
      -> Result<(), CheckpointStoreError> {
         if batch.is_empty() {
@@ -623,21 +582,8 @@ fn run_metrics_batch(
             |_, &(_, day, _)| format!("day-{day}"),
             move |att, (idx, day, g)| {
                 chaos_gate(chaos, *day as u64, att.attempt)?;
-                let mut rng = rng_from_seed(derive_seed(seed, *day as u64));
-                let path_length = if idx % path_every == 0 {
-                    avg_path_length_sampled(g, path_sample, &mut rng)
-                } else {
-                    None
-                };
-                Ok((
-                    *day,
-                    MetricRow {
-                        avg_degree: g.average_degree(),
-                        path_length,
-                        clustering: average_clustering(g, clustering_sample, &mut rng),
-                        assortativity: degree_assortativity(g),
-                    },
-                ))
+                let giant = cfg.samples_paths(*idx).then(|| largest_component(g));
+                Ok((*day, day_row(g, giant.as_deref(), cfg, *day)))
             },
         );
         for (slot, verdict) in verdicts.into_iter().enumerate() {
@@ -701,8 +647,6 @@ fn run_metrics_incremental(
         cfg.workers
     };
     let flush_cap = (workers * 2).max(1);
-    let path_every = cfg.path_every.max(1);
-    let (seed, path_sample, clustering_sample) = (cfg.seed, cfg.path_sample, cfg.clustering_sample);
     let scfg = policy.supervisor_config(1);
     let chaos = policy.chaos.as_ref();
 
@@ -728,20 +672,8 @@ fn run_metrics_incremental(
             let state = &mut state;
             supervised_call(&format!("day-{day}"), &scfg, |attempt| {
                 chaos_gate(chaos, day as u64, attempt)?;
-                let mut rng = rng_from_seed(derive_seed(seed, day as u64));
-                let path_length = if idx % path_every == 0 {
-                    let giant = state.giant_component();
-                    avg_path_length_over_component(state.graph(), &giant, path_sample, &mut rng)
-                } else {
-                    None
-                };
-                let g = state.graph();
-                Ok(MetricRow {
-                    avg_degree: g.average_degree(),
-                    path_length,
-                    clustering: average_clustering(g, clustering_sample, &mut rng),
-                    assortativity: degree_assortativity(g),
-                })
+                let giant = cfg.samples_paths(idx).then(|| state.giant_component());
+                Ok(day_row(state.graph(), giant.as_deref(), cfg, day))
             })
         };
         match verdict {

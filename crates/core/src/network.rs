@@ -4,15 +4,14 @@
 //! metrics over per-day snapshots: average degree, sampled average path
 //! length, average clustering coefficient, degree assortativity.
 
-use osn_graph::{Day, EventKind, EventLog, EventLogBuilder, NodeId, Origin, Time};
+use osn_graph::{Day, EventKind, EventLog, EventLogBuilder, GraphView, NodeId, Origin, Time};
 use osn_metrics::engine::{day_sweep, EngineConfig, EngineKind};
 use osn_metrics::parallel::par_map;
 use osn_metrics::supervisor::{
     chaos_gate, supervised_call, try_par_map_labeled, RunPolicy, TaskFailure,
 };
 use osn_metrics::{
-    average_clustering, avg_path_length_over_component, avg_path_length_sampled,
-    degree_assortativity,
+    average_clustering, avg_path_length_over_component, degree_assortativity, largest_component,
 };
 use osn_stats::sampling::derive_seed;
 use osn_stats::{rng_from_seed, Series, Table};
@@ -96,6 +95,16 @@ pub fn import_view(log: &EventLog, merge_day: Day) -> EventLog {
     b.build()
 }
 
+/// The snapshot days a `DailySnapshots::new(log, first_day, stride)`
+/// iteration would visit: every `stride`-th day from `first_day` through
+/// the log's last day.
+pub(crate) fn snapshot_days(log: &EventLog, first_day: Day, stride: Day) -> Vec<Day> {
+    assert!(stride > 0, "stride must be positive");
+    (first_day..=log.end_day())
+        .step_by(stride as usize)
+        .collect()
+}
+
 /// Figure 1(a): absolute numbers of nodes and edges added per day.
 pub fn growth_series(log: &EventLog) -> Table {
     let (nodes, edges) = log.daily_counts();
@@ -160,6 +169,13 @@ pub struct MetricSeriesConfig {
     pub seed: u64,
 }
 
+impl MetricSeriesConfig {
+    /// True if the `idx`-th snapshot of the sweep samples path length.
+    pub(crate) fn samples_paths(&self, idx: usize) -> bool {
+        idx.is_multiple_of(self.path_every.max(1))
+    }
+}
+
 impl Default for MetricSeriesConfig {
     fn default() -> Self {
         MetricSeriesConfig {
@@ -188,6 +204,29 @@ pub struct MetricSeries {
 }
 
 impl MetricSeries {
+    /// Empty series, named as the CSV columns are.
+    pub(crate) fn new() -> Self {
+        MetricSeries {
+            avg_degree: Series::new("avg_degree"),
+            path_length: Series::new("avg_path_length"),
+            clustering: Series::new("avg_clustering"),
+            assortativity: Series::new("assortativity"),
+        }
+    }
+
+    /// Append one snapshot row; undefined metrics leave a gap.
+    pub(crate) fn push(&mut self, day: Day, row: &DayRow) {
+        let d = day as f64;
+        self.avg_degree.push(d, row.avg_degree);
+        if let Some(p) = row.path_length {
+            self.path_length.push(d, p);
+        }
+        self.clustering.push(d, row.clustering);
+        if let Some(a) = row.assortativity {
+            self.assortativity.push(d, a);
+        }
+    }
+
     /// Bundle everything into one table (shared day axis).
     pub fn to_table(&self) -> Table {
         Table::new("day")
@@ -208,12 +247,42 @@ pub struct DayFailure {
 }
 
 /// One finished snapshot row of the Figure 1(c)–(f) sweep.
-struct Row {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DayRow {
+    pub(crate) avg_degree: f64,
+    pub(crate) path_length: Option<f64>,
+    pub(crate) clustering: f64,
+    pub(crate) assortativity: Option<f64>,
+}
+
+/// The Figure 1(c)–(f) row of snapshot `day`, as every sweep computes
+/// it: the batch and incremental engines, with or without a checkpoint.
+///
+/// `giant` is the graph's largest component on the days that sample path
+/// length ([`MetricSeriesConfig::samples_paths`]) and `None` otherwise.
+/// The day's RNG stream is drawn by the path sample first, then by the
+/// clustering sample, so the row depends only on the graph, the config
+/// and the day.
+pub(crate) fn day_row<G: GraphView>(
+    g: &G,
+    giant: Option<&[u32]>,
+    cfg: &MetricSeriesConfig,
     day: Day,
-    avg_degree: f64,
-    path_length: Option<f64>,
-    clustering: f64,
-    assortativity: Option<f64>,
+) -> DayRow {
+    let mut rng = rng_from_seed(derive_seed(cfg.seed, day as u64));
+    let path_length =
+        giant.and_then(|giant| avg_path_length_over_component(g, giant, cfg.path_sample, &mut rng));
+    let n = g.num_nodes();
+    DayRow {
+        avg_degree: if n == 0 {
+            0.0
+        } else {
+            2.0 * g.num_edges() as f64 / n as f64
+        },
+        path_length,
+        clustering: average_clustering(g, cfg.clustering_sample, &mut rng),
+        assortativity: degree_assortativity(g),
+    }
 }
 
 /// Batch arm: materialise a frozen CSR per snapshot day and fan the days
@@ -223,14 +292,9 @@ fn sweep_batch(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
     policy: &RunPolicy,
-) -> Vec<Result<Row, TaskFailure>> {
+) -> Vec<Result<DayRow, TaskFailure>> {
     let snaps = osn_graph::DailySnapshots::new(log, cfg.first_day, cfg.stride);
-    let path_every = cfg.path_every.max(1);
-    let seed = cfg.seed;
-    let path_sample = cfg.path_sample;
-    let clustering_sample = cfg.clustering_sample;
     let chaos = policy.chaos.as_ref();
-
     let scfg = policy.supervisor_config(cfg.workers);
     try_par_map_labeled(
         snaps.enumerate(),
@@ -239,72 +303,40 @@ fn sweep_batch(
         move |att, (idx, snap)| {
             chaos_gate(chaos, snap.day as u64, att.attempt)?;
             let g = &snap.graph;
-            let mut rng = rng_from_seed(derive_seed(seed, snap.day as u64));
-            let path_length = if idx % path_every == 0 {
-                avg_path_length_sampled(g, path_sample, &mut rng)
-            } else {
-                None
-            };
-            Ok(Row {
-                day: snap.day,
-                avg_degree: g.average_degree(),
-                path_length,
-                clustering: average_clustering(g, clustering_sample, &mut rng),
-                assortativity: degree_assortativity(g),
-            })
+            let giant = cfg.samples_paths(*idx).then(|| largest_component(g));
+            Ok(day_row(g, giant.as_deref(), cfg, snap.day))
         },
     )
 }
 
 /// Incremental arm: one evolving graph per shard, metric state updated
 /// per edge event by the delta observer, no per-day CSR freeze. Byte-
-/// identical to [`sweep_batch`]: the samplers run the same kernels over
-/// [`osn_graph::GraphView`], the giant component uses the same
-/// partition-deterministic tie-break, and the per-day RNG stream is
-/// derived identically.
+/// identical to [`sweep_batch`]: both compute [`day_row`] over
+/// [`osn_graph::GraphView`], and the giant component from the live
+/// union-find uses the same partition-deterministic tie-break.
 fn sweep_incremental(
     log: &EventLog,
     cfg: &MetricSeriesConfig,
     policy: &RunPolicy,
-) -> Vec<Result<Row, TaskFailure>> {
-    assert!(cfg.stride > 0, "stride must be positive");
-    let days: Vec<Day> = (cfg.first_day..=log.end_day())
-        .step_by(cfg.stride as usize)
-        .collect();
-    let path_every = cfg.path_every.max(1);
-    let seed = cfg.seed;
-    let path_sample = cfg.path_sample;
-    let clustering_sample = cfg.clustering_sample;
+) -> Vec<Result<DayRow, TaskFailure>> {
     let chaos = policy.chaos.as_ref();
-
     // Supervision is per day (panic isolation, retries, chaos injection,
     // post-hoc deadline); the engine sweep handles parallelism itself, so
     // the per-call supervisor runs inline on the sweep worker.
     let scfg = policy.supervisor_config(1);
     let ecfg = EngineConfig::builder().workers(cfg.workers).build();
-    day_sweep(log, &days, &ecfg, |state, idx, day| {
-        supervised_call(&format!("day-{day}"), &scfg, |attempt| {
-            chaos_gate(chaos, day as u64, attempt)?;
-            let mut rng = rng_from_seed(derive_seed(seed, day as u64));
-            let path_length = if idx % path_every == 0 {
-                // Giant component from the live union-find (no BFS
-                // labelling pass), then the same sampled-BFS kernel the
-                // batch arm runs inside `avg_path_length_sampled`.
-                let giant = state.giant_component();
-                avg_path_length_over_component(state.graph(), &giant, path_sample, &mut rng)
-            } else {
-                None
-            };
-            let g = state.graph();
-            Ok(Row {
-                day,
-                avg_degree: g.average_degree(),
-                path_length,
-                clustering: average_clustering(g, clustering_sample, &mut rng),
-                assortativity: degree_assortativity(g),
+    day_sweep(
+        log,
+        &snapshot_days(log, cfg.first_day, cfg.stride),
+        &ecfg,
+        |state, idx, day| {
+            supervised_call(&format!("day-{day}"), &scfg, |attempt| {
+                chaos_gate(chaos, day as u64, attempt)?;
+                let giant = cfg.samples_paths(idx).then(|| state.giant_component());
+                Ok(day_row(state.graph(), giant.as_deref(), cfg, day))
             })
-        })
-    })
+        },
+    )
 }
 
 /// Compute the four Figure 1(c)–(f) metrics over per-day snapshots,
@@ -346,30 +378,15 @@ pub fn metric_series_supervised_with(
         EngineKind::Incremental => sweep_incremental(log, cfg, policy),
     };
 
-    let mut out = MetricSeries {
-        avg_degree: Series::new("avg_degree"),
-        path_length: Series::new("avg_path_length"),
-        clustering: Series::new("avg_clustering"),
-        assortativity: Series::new("assortativity"),
-    };
+    let mut out = MetricSeries::new();
     let mut failures = Vec::new();
-    for (idx, verdict) in verdicts.into_iter().enumerate() {
+    for (day, verdict) in snapshot_days(log, cfg.first_day, cfg.stride)
+        .into_iter()
+        .zip(verdicts)
+    {
         match verdict {
-            Ok(r) => {
-                let d = r.day as f64;
-                out.avg_degree.push(d, r.avg_degree);
-                if let Some(p) = r.path_length {
-                    out.path_length.push(d, p);
-                }
-                out.clustering.push(d, r.clustering);
-                if let Some(a) = r.assortativity {
-                    out.assortativity.push(d, a);
-                }
-            }
-            Err(failure) => failures.push(DayFailure {
-                day: cfg.first_day + idx as Day * cfg.stride,
-                failure,
-            }),
+            Ok(row) => out.push(day, &row),
+            Err(failure) => failures.push(DayFailure { day, failure }),
         }
     }
     (out, failures)

@@ -8,6 +8,10 @@
 //!
 //! Neighbour lists are kept sorted so that membership checks are
 //! `O(log deg)` and CSR freezing is a straight copy.
+//!
+//! The graph also keeps a per-node triangle count `t(u)`, updated on each
+//! edge insert by one sorted merge of the endpoints' neighbour lists, so
+//! the local clustering coefficient of any node is `O(1)` at any instant.
 
 use crate::csr::CsrGraph;
 use crate::event::{Event, EventKind, Origin};
@@ -105,6 +109,9 @@ impl DeltaObserver for NoDelta {}
 #[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     adj: Vec<Vec<u32>>,
+    /// `triangles[u]` = number of triangles through `u` = edges among
+    /// `u`'s neighbours.
+    triangles: Vec<u64>,
     origins: Vec<Origin>,
     join_times: Vec<Time>,
     num_edges: u64,
@@ -121,6 +128,7 @@ impl DynamicGraph {
     pub fn with_capacity(nodes: usize) -> Self {
         DynamicGraph {
             adj: Vec::with_capacity(nodes),
+            triangles: Vec::with_capacity(nodes),
             origins: Vec::with_capacity(nodes),
             join_times: Vec::with_capacity(nodes),
             num_edges: 0,
@@ -172,6 +180,11 @@ impl DynamicGraph {
         self.join_times[node.index()]
     }
 
+    /// Number of triangles through a node (0 for ids not yet added).
+    pub fn node_triangles(&self, node: NodeId) -> u64 {
+        self.triangles.get(node.index()).copied().unwrap_or(0)
+    }
+
     /// True if the undirected edge `a-b` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         match self.adj.get(a.index()) {
@@ -209,6 +222,7 @@ impl DynamicGraph {
                 }
                 obs.node_added(self, node, origin, event.time);
                 self.adj.push(Vec::new());
+                self.triangles.push(0);
                 self.origins.push(origin);
                 self.join_times.push(event.time);
             }
@@ -231,6 +245,7 @@ impl DynamicGraph {
                     Ok(_) => return Err(ApplyError::DuplicateEdge { u, v }),
                 };
                 obs.edge_added(self, u, v);
+                self.count_closed_triangles(u, v);
                 self.adj[u.index()].insert(pos_u, v.0);
                 let pos_v = self.adj[v.index()]
                     .binary_search(&u.0)
@@ -241,6 +256,27 @@ impl DynamicGraph {
         }
         self.now = event.time;
         Ok(())
+    }
+
+    /// Credit the triangles the not-yet-inserted edge `u-v` closes: each
+    /// common neighbour `w` gains one, `u` and `v` gain one per `w`.
+    fn count_closed_triangles(&mut self, u: NodeId, v: NodeId) {
+        let (a, b) = (&self.adj[u.index()], &self.adj[v.index()]);
+        let (mut i, mut j, mut common) = (0, 0, 0u64);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    self.triangles[a[i] as usize] += 1;
+                    common += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        self.triangles[u.index()] += common;
+        self.triangles[v.index()] += common;
     }
 
     /// Freeze the current state into a read-optimised CSR snapshot.

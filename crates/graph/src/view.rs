@@ -12,6 +12,13 @@
 //! against `GraphView` therefore performs bit-identical arithmetic on a
 //! frozen snapshot and on the live graph at the same instant — the
 //! property the batch-vs-incremental differential tests pin down.
+//!
+//! [`GraphView::node_triangles`] is the one place the two differ in
+//! cost, not in value: the live graph maintains per-node triangle counts
+//! on every edge insert and answers in `O(1)`, while a frozen snapshot
+//! answers `None` and the caller falls back to counting by
+//! sorted-neighbour intersection, the independent check the live counts
+//! are tested against.
 
 use crate::csr::CsrGraph;
 use crate::dynamic::DynamicGraph;
@@ -30,6 +37,13 @@ pub trait GraphView {
 
     /// Neighbours of a node, sorted ascending.
     fn neighbors(&self, node: u32) -> &[u32];
+
+    /// Number of triangles through `node`, if the view maintains it
+    /// (the live [`DynamicGraph`] does; a frozen [`CsrGraph`] does not).
+    fn node_triangles(&self, node: u32) -> Option<u64> {
+        let _ = node;
+        None
+    }
 
     /// Iterate every undirected edge once, as `(u, v)` with `u < v`,
     /// `u` ascending then `v` ascending — the canonical order every
@@ -112,6 +126,11 @@ impl GraphView for DynamicGraph {
     #[inline]
     fn neighbors(&self, node: u32) -> &[u32] {
         DynamicGraph::neighbors(self, NodeId(node))
+    }
+
+    #[inline]
+    fn node_triangles(&self, node: u32) -> Option<u64> {
+        Some(DynamicGraph::node_triangles(self, NodeId(node)))
     }
 }
 

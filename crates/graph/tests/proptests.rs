@@ -1,8 +1,32 @@
 //! Property-based tests for the graph substrate.
 
 use osn_graph::io::{read_log, write_log};
-use osn_graph::{CsrGraph, EventLogBuilder, NodeId, Origin, Time, UnionFind};
+use osn_graph::{CsrGraph, DynamicGraph, Event, EventLogBuilder, NodeId, Origin, Time, UnionFind};
 use proptest::prelude::*;
+
+/// Triangles through `u` on a frozen snapshot, counted independently of
+/// the live counters: each neighbour's sorted list merged with the later
+/// part of `u`'s own, so every linked neighbour pair counts once.
+fn merge_triangles(g: &CsrGraph, u: u32) -> u64 {
+    let neigh = g.neighbors(u);
+    let mut links = 0;
+    for (i, &a) in neigh.iter().enumerate() {
+        let (x, y) = (g.neighbors(a), &neigh[i + 1..]);
+        let (mut p, mut q) = (0, 0);
+        while p < x.len() && q < y.len() {
+            match x[p].cmp(&y[q]) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => {
+                    links += 1;
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+    }
+    links
+}
 
 /// Strategy: a random sequence of (time-increment, op) forming a valid
 /// event schedule.
@@ -110,6 +134,37 @@ proptest! {
         for &(a, b) in &pairs {
             prop_assert!(uf.connected(a, b));
             prop_assert!(uf.connected(b, a));
+        }
+    }
+
+    /// The live graph's per-node triangle counts equal an intersection
+    /// count on its frozen snapshot after every event of a random log,
+    /// rejected events (self-loops, duplicates) included. Few nodes and
+    /// many edge attempts make the graph dense enough to close triangles.
+    #[test]
+    fn live_triangle_counts_match_frozen_snapshot(
+        nodes in 1u32..16,
+        ops in prop::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 0..160),
+    ) {
+        let mut g = DynamicGraph::new();
+        let mut t = 0u64;
+        for id in 0..nodes {
+            g.apply(&Event::node(Time(id as u64), NodeId(id), Origin::Core)).unwrap();
+        }
+        for (kind, x, y) in ops {
+            t += 1;
+            let n = g.num_nodes() as u32;
+            // One op in eight is a node arrival, the rest edge attempts.
+            let event = if kind == 0 {
+                Event::node(Time(t), NodeId(n), Origin::Core)
+            } else {
+                Event::edge(Time(t), NodeId(x as u32 % n), NodeId(y as u32 % n))
+            };
+            let _ = g.apply(&event);
+            let frozen = g.freeze();
+            for u in 0..g.num_nodes() as u32 {
+                prop_assert_eq!(g.node_triangles(NodeId(u)), merge_triangles(&frozen, u), "node {}", u);
+            }
         }
     }
 

@@ -15,26 +15,36 @@ use rand::Rng;
 ///
 /// Nodes of degree < 2 have coefficient 0 (the convention the paper's
 /// network-average uses: they contribute zero to the mean).
+///
+/// The number of links among the neighbours is the node's triangle
+/// count: read in `O(1)` from a view that maintains it
+/// ([`GraphView::node_triangles`]), counted by sorted-list intersection
+/// otherwise. Both give the same integer, so the result is bit-identical.
 pub fn local_clustering<G: GraphView>(g: &G, node: u32) -> f64 {
-    let neigh = g.neighbors(node);
-    let d = neigh.len();
+    let d = g.degree(node);
     if d < 2 {
         return 0.0;
     }
-    let mut links = 0u64;
-    // Count edges among neighbours by intersecting each neighbour's sorted
-    // list with `neigh` (two-pointer merge), counting each pair once.
-    for (i, &a) in neigh.iter().enumerate() {
-        let a_neigh = g.neighbors(a);
-        // Only count pairs (a, b) with b after a in `neigh` to halve work.
-        let rest = &neigh[i + 1..];
-        links += sorted_intersection_count(a_neigh, rest);
-    }
+    let links = g
+        .node_triangles(node)
+        .unwrap_or_else(|| triangles_by_intersection(g, node));
     2.0 * links as f64 / (d as f64 * (d as f64 - 1.0))
 }
 
+/// Edges among `node`'s neighbours, counted by intersecting each
+/// neighbour's sorted list with the later part of `node`'s own
+/// (two-pointer merge), so each pair is counted once.
+pub(crate) fn triangles_by_intersection<G: GraphView>(g: &G, node: u32) -> u64 {
+    let neigh = g.neighbors(node);
+    neigh
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| sorted_intersection_count(g.neighbors(a), &neigh[i + 1..]))
+        .sum()
+}
+
 /// Number of common elements of two sorted slices.
-pub(crate) fn sorted_intersection_count(a: &[u32], b: &[u32]) -> u64 {
+fn sorted_intersection_count(a: &[u32], b: &[u32]) -> u64 {
     let mut i = 0;
     let mut j = 0;
     let mut count = 0;
@@ -92,10 +102,7 @@ pub fn transitivity<G: GraphView>(g: &G) -> f64 {
     for u in 0..g.num_nodes() as u32 {
         let d = g.degree(u) as u64;
         triples += d.saturating_sub(1) * d / 2;
-        let neigh = g.neighbors(u);
-        for (i, &a) in neigh.iter().enumerate() {
-            triangles3 += sorted_intersection_count(g.neighbors(a), &neigh[i + 1..]);
-        }
+        triangles3 += triangles_by_intersection(g, u);
     }
     if triples == 0 {
         0.0
@@ -174,6 +181,42 @@ mod tests {
             (approx - exact).abs() < 0.15,
             "approx {approx} vs exact {exact}"
         );
+    }
+
+    /// The live graph reads its maintained triangle counts, the frozen
+    /// snapshot intersects neighbour lists; every value must be the same
+    /// bits at every instant.
+    #[test]
+    fn live_and_frozen_views_agree_bit_for_bit() {
+        use osn_graph::{DynamicGraph, Event, NodeId, Origin, Time};
+        use rand::Rng;
+        let mut rng = rng_from_seed(3);
+        let mut g = DynamicGraph::new();
+        for id in 0..40u32 {
+            g.apply(&Event::node(Time(0), NodeId(id), Origin::Core))
+                .unwrap();
+        }
+        for step in 1..=400u64 {
+            let (a, b) = (rng.gen_range(0..40u32), rng.gen_range(0..40u32));
+            let _ = g.apply(&Event::edge(Time(step), NodeId(a), NodeId(b)));
+            if step % 20 != 0 {
+                continue;
+            }
+            let frozen = g.freeze();
+            for u in 0..40u32 {
+                assert!(GraphView::node_triangles(&g, u).is_some());
+                assert!(GraphView::node_triangles(&frozen, u).is_none());
+                assert_eq!(
+                    local_clustering(&g, u).to_bits(),
+                    local_clustering(&frozen, u).to_bits(),
+                    "node {u} after {step} events"
+                );
+            }
+            assert_eq!(
+                average_clustering(&g, 15, &mut rng_from_seed(step)).to_bits(),
+                average_clustering(&frozen, 15, &mut rng_from_seed(step)).to_bits()
+            );
+        }
     }
 
     #[test]

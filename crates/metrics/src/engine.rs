@@ -11,9 +11,10 @@
 //! * connected components — a live [`UnionFind`] updated per edge, so the
 //!   giant component costs an `O(N α)` scan per snapshot instead of an
 //!   `O(E α)` rebuild;
-//! * wedge/triangle counters — one sorted-adjacency intersection per edge
-//!   (optional: off unless a consumer asks, since the Figure 1 series
-//!   doesn't need them), giving `O(1)` global transitivity;
+//! * triangle counts — kept per node by the [`DynamicGraph`] itself (one
+//!   sorted merge of the endpoints' neighbour lists per edge insert), so
+//!   local clustering is `O(1)` per node and the global triangle count
+//!   and transitivity are `O(N)` sums over the graph and the histogram;
 //! * degree CCDF — cached, invalidated by any delta, rebuilt from the
 //!   histogram on demand.
 //!
@@ -99,10 +100,6 @@ pub struct EngineConfig {
     /// Days per work-stealing chunk (0 = auto: the day list split in
     /// roughly `4 × workers` contiguous chunks).
     pub chunk_days: usize,
-    /// Maintain the wedge/triangle counters while replaying. Costs one
-    /// sorted-adjacency intersection per edge event; the Figure 1 series
-    /// doesn't need it, so sweeps leave it off unless asked.
-    pub track_triangles: bool,
 }
 
 impl EngineConfig {
@@ -133,12 +130,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Maintain wedge/triangle counters while replaying.
-    pub fn track_triangles(mut self, on: bool) -> Self {
-        self.cfg.track_triangles = on;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> EngineConfig {
         self.cfg
@@ -154,23 +145,15 @@ pub struct MetricDeltas {
     /// Live connected components (sized for the whole log up front;
     /// not-yet-arrived nodes are untouched singletons).
     uf: UnionFind,
-    /// Exact triangle count (only meaningful when `track_triangles`).
-    triangles: u64,
-    /// Σ deg·(deg−1)/2 — connected triples (ditto).
-    triples: u64,
-    track_triangles: bool,
     /// Cached CCDF, invalidated by any delta.
     ccdf: Option<Vec<(f64, f64)>>,
 }
 
 impl MetricDeltas {
-    fn new(total_nodes: usize, track_triangles: bool) -> Self {
+    fn new(total_nodes: usize) -> Self {
         MetricDeltas {
             degree_hist: vec![0; 1],
             uf: UnionFind::new(total_nodes),
-            triangles: 0,
-            triples: 0,
-            track_triangles,
             ccdf: None,
         }
     }
@@ -184,15 +167,6 @@ impl DeltaObserver for MetricDeltas {
 
     fn edge_added(&mut self, graph: &DynamicGraph, u: NodeId, v: NodeId) {
         let (du, dv) = (graph.degree(u), graph.degree(v));
-        if self.track_triangles {
-            // Triangles closed by this edge = |N(u) ∩ N(v)| before insert;
-            // each endpoint's degree bump adds `deg` new connected triples.
-            self.triangles += crate::clustering::sorted_intersection_count(
-                graph.neighbors(u),
-                graph.neighbors(v),
-            );
-            self.triples += (du + dv) as u64;
-        }
         if self.degree_hist.len() <= du.max(dv) + 1 {
             self.degree_hist.resize(du.max(dv) + 2, 0);
         }
@@ -216,14 +190,9 @@ pub struct EngineState<'a> {
 impl<'a> EngineState<'a> {
     /// Fresh engine state at the beginning of `log`.
     pub fn new(log: &'a EventLog) -> Self {
-        Self::with_config(log, &EngineConfig::default())
-    }
-
-    /// Fresh engine state honouring `cfg.track_triangles`.
-    pub fn with_config(log: &'a EventLog, cfg: &EngineConfig) -> Self {
         EngineState {
             replayer: Replayer::new(log),
-            deltas: MetricDeltas::new(log.num_nodes() as usize, cfg.track_triangles),
+            deltas: MetricDeltas::new(log.num_nodes() as usize),
         }
     }
 
@@ -232,18 +201,14 @@ impl<'a> EngineState<'a> {
     /// delta observer, because incremental state cannot be reconstructed
     /// from the position alone. Refuses checkpoints from another trace or
     /// not on a day boundary.
-    pub fn seed(
-        log: &'a EventLog,
-        cp: &ReplayCheckpoint,
-        cfg: &EngineConfig,
-    ) -> Result<Self, CheckpointError> {
+    pub fn seed(log: &'a EventLog, cp: &ReplayCheckpoint) -> Result<Self, CheckpointError> {
         if cp.fingerprint != log.fingerprint() {
             return Err(CheckpointError::FingerprintMismatch {
                 recorded: cp.fingerprint,
                 actual: log.fingerprint(),
             });
         }
-        let mut state = Self::with_config(log, cfg);
+        let mut state = Self::new(log);
         state.advance_through_day(cp.day);
         if state.replayer.position() != cp.pos {
             return Err(CheckpointError::Malformed(format!(
@@ -299,31 +264,30 @@ impl<'a> EngineState<'a> {
         self.deltas.ccdf.as_deref().unwrap_or(&[])
     }
 
-    /// Exact triangle count.
-    ///
-    /// # Panics
-    /// Panics unless the state was built with `track_triangles`.
+    /// Exact triangle count: the graph's per-node counts summed, each
+    /// triangle seen from its three corners.
     pub fn triangles(&self) -> u64 {
-        assert!(
-            self.deltas.track_triangles,
-            "engine state was built without track_triangles"
-        );
-        self.deltas.triangles
+        let g = self.graph();
+        (0..g.num_nodes() as u32)
+            .map(|u| g.node_triangles(NodeId(u)))
+            .sum::<u64>()
+            / 3
     }
 
-    /// Global transitivity `3△ / triples` in `O(1)` (0 when no triples).
-    ///
-    /// # Panics
-    /// Panics unless the state was built with `track_triangles`.
+    /// Global transitivity `3△ / triples` (0 when no triples), with the
+    /// connected triples `Σ d(d−1)/2` read off the degree histogram.
     pub fn transitivity(&self) -> f64 {
-        assert!(
-            self.deltas.track_triangles,
-            "engine state was built without track_triangles"
-        );
-        if self.deltas.triples == 0 {
+        let triples: u64 = self
+            .deltas
+            .degree_hist
+            .iter()
+            .enumerate()
+            .map(|(d, &nodes)| nodes * (d as u64 * d.saturating_sub(1) as u64 / 2))
+            .sum();
+        if triples == 0 {
             0.0
         } else {
-            3.0 * self.deltas.triangles as f64 / self.deltas.triples as f64
+            3.0 * self.triangles() as f64 / triples as f64
         }
     }
 }
@@ -390,7 +354,7 @@ where
 
     if workers <= 1 || days.len() <= 1 {
         osn_obs::counter!("engine.chunks").inc();
-        let mut state = EngineState::with_config(log, cfg);
+        let mut state = EngineState::new(log);
         return days
             .iter()
             .enumerate()
@@ -435,10 +399,10 @@ where
                         // delta observer).
                         let first = chunk[0];
                         if first == 0 {
-                            EngineState::with_config(log, cfg)
+                            EngineState::new(log)
                         } else {
                             let cp = day_checkpoint(log, first - 1);
-                            EngineState::seed(log, &cp, cfg).expect("seed from own checkpoint")
+                            EngineState::seed(log, &cp).expect("seed from own checkpoint")
                         }
                     });
                     let mut produced = Vec::with_capacity(chunk.len());
@@ -467,7 +431,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::transitivity;
+    use crate::clustering::{transitivity, triangles_by_intersection};
     use crate::components::largest_component;
     use crate::degree::{degree_ccdf, degree_distribution};
     use osn_graph::{EventLogBuilder, GraphView};
@@ -500,11 +464,17 @@ mod tests {
         b.build()
     }
 
+    fn triangle_count<G: GraphView>(g: &G) -> u64 {
+        (0..g.num_nodes() as u32)
+            .map(|u| triangles_by_intersection(g, u))
+            .sum::<u64>()
+            / 3
+    }
+
     #[test]
     fn deltas_match_batch_on_every_day() {
         let log = multi_day_log();
-        let cfg = EngineConfig::builder().track_triangles(true).build();
-        let mut state = EngineState::with_config(&log, &cfg);
+        let mut state = EngineState::new(&log);
         for day in 0..=log.end_day() {
             state.advance_through_day(day);
             let frozen = state.graph().freeze();
@@ -521,9 +491,12 @@ mod tests {
                 largest_component(&frozen),
                 "day {day}"
             );
-            // transitivity from the triangle/wedge counters vs batch
-            assert!(
-                (state.transitivity() - transitivity(&frozen)).abs() < 1e-12,
+            // triangles and transitivity from the live per-node counts
+            // vs batch intersection
+            assert_eq!(state.triangles(), triangle_count(&frozen), "day {day}");
+            assert_eq!(
+                state.transitivity().to_bits(),
+                transitivity(&frozen).to_bits(),
                 "day {day}"
             );
         }
@@ -543,9 +516,8 @@ mod tests {
     #[test]
     fn seed_matches_fresh_advance() {
         let log = multi_day_log();
-        let cfg = EngineConfig::default();
         let cp = day_checkpoint(&log, 5);
-        let mut seeded = EngineState::seed(&log, &cp, &cfg).unwrap();
+        let mut seeded = EngineState::seed(&log, &cp).unwrap();
         let mut fresh = EngineState::new(&log);
         fresh.advance_through_day(5);
         assert_eq!(seeded.checkpoint(5), fresh.checkpoint(5));
@@ -565,7 +537,7 @@ mod tests {
         let other = other_b.build();
         let cp = day_checkpoint(&log, 2);
         assert!(matches!(
-            EngineState::seed(&other, &cp, &EngineConfig::default()),
+            EngineState::seed(&other, &cp),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
     }

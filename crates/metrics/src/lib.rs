@@ -9,14 +9,16 @@
 //!   component extraction.
 //! * [`clustering`] — exact and sampled average clustering coefficient.
 //! * [`paths`] — BFS, sampled average shortest-path length (the paper
-//!   samples 1000 nodes of the giant component), and early-exit distance
+//!   samples 1000 nodes of the giant component; the sources run 64 at a
+//!   time as a bit-parallel multi-source BFS), and early-exit distance
 //!   to a node group.
 //! * [`diameter`] — sampled effective (90th-percentile) diameter, the
 //!   robust diameter of the graphs-over-time literature.
 //! * [`kcore`] — linear-time k-core decomposition (Batagelj–Zaversnik).
 //! * [`engine`] — the delta-driven snapshot engine: one evolving graph
 //!   with per-metric incremental state (degree histogram, live
-//!   union-find components, wedge/triangle counters, cached CCDF) and a
+//!   union-find components, cached CCDF; the graph keeps per-node
+//!   triangle counts) and a
 //!   work-stealing parallel day-sweep; byte-identical to the batch path
 //!   and the default under `osn metrics`.
 //! * [`incremental`] — exact streaming triangle count, transitivity and
