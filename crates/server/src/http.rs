@@ -1,6 +1,7 @@
 //! Minimal HTTP/1.1 plumbing: buffered keep-alive connections with
-//! deadline-bounded request-head and body reading, and response writing
-//! over a raw `TcpStream`.
+//! nonblocking head reads and response writes for the shard readiness
+//! loop, and deadline-bounded blocking body reads and writes for
+//! workers, over a raw `TcpStream`.
 //!
 //! Only the sliver of HTTP the daemon needs is implemented — `GET`/`POST`
 //! with a path, the handful of headers the serve and write planes
@@ -94,38 +95,61 @@ impl HeadError {
             HeadError::Closed => "closed",
         }
     }
+
+    /// The status to answer with, or `None` when nobody is listening
+    /// for one (the peer vanished or hung up).
+    pub fn status(self) -> Option<u16> {
+        match self {
+            HeadError::TimedOut => Some(408),
+            HeadError::TooLarge => Some(431),
+            HeadError::Malformed => Some(400),
+            HeadError::ConnectionLost | HeadError::Closed => None,
+        }
+    }
 }
 
-/// What [`Conn::await_request`] found.
+/// Where a nonblocking [`Conn::send`] or [`Conn::flush`] left the
+/// response bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnProgress {
-    /// A complete request head (or an oversize one, which
-    /// [`Conn::read_head`] will turn into a 431) is buffered —
-    /// `read_head` will not block.
-    HeadReady,
-    /// Nothing arrived within the wait window; the connection is idle.
-    Idle,
-    /// The peer closed (EOF with no pending request bytes).
-    Closed,
+pub enum Flush {
+    /// Everything is on the wire and the connection stays open.
+    Done,
+    /// The socket is full; the rest waits for writability.
+    Pending,
+    /// Everything is on the wire and the response asked for the
+    /// connection to close — or the write failed. Drop the `Conn`.
+    Close,
 }
 
-/// One accepted connection: the socket plus whatever request bytes have
-/// been read but not yet consumed. Keep-alive lives here — after a head
-/// (and body) is consumed, leftover bytes are the start of the next
-/// pipelined request.
+/// One accepted connection: the socket, whatever request bytes have been
+/// read but not yet consumed, and whatever response bytes have not yet
+/// reached the socket. Keep-alive lives here — after a head (and body)
+/// is consumed, leftover bytes are the start of the next pipelined
+/// request.
+///
+/// A connection is nonblocking while its shard's readiness loop owns it
+/// ([`Conn::read_ready`], [`Conn::next_head`], [`Conn::send`],
+/// [`Conn::flush`]) and blocking while a worker owns it
+/// ([`Conn::read_body`], [`Conn::write_response`]).
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    out: Vec<u8>,
+    /// Bytes of `out` already written.
+    written: usize,
+    /// The response in `out` closes the connection once written.
+    close_after: bool,
     /// When the connection was accepted.
     pub accepted: Instant,
     /// Requests fully answered on this connection so far.
     pub served: u64,
-    /// When the current request window opened: accept time for the
-    /// first request, then re-armed whenever a new request starts
-    /// arriving (first byte into an empty buffer, or a pipelined head
-    /// already waiting when the previous request completed). The header
-    /// deadline is always `anchor + header_timeout`.
+    /// When the connection's current window opened. Reading a head: the
+    /// header deadline is `anchor + header_timeout`, opened at accept for
+    /// the first request, then whenever a new request starts arriving
+    /// (first byte into an empty buffer, or a pipelined head already
+    /// waiting when the previous one was parsed). Idle between requests:
+    /// the keep-alive clock. Writing: the write clock.
     anchor: Instant,
 }
 
@@ -136,33 +160,66 @@ impl Conn {
         Conn {
             stream,
             buf: Vec::new(),
+            out: Vec::new(),
+            written: 0,
+            close_after: false,
             accepted: now,
             served: 0,
             anchor: now,
         }
     }
 
-    /// The underlying socket (peer address, raw fd for the parker).
+    /// The underlying socket (peer address, raw fd for the poll set).
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
 
-    /// True when `read_head` can make a verdict without blocking: a
-    /// complete head is buffered, or the buffer already blew the 431 cap.
-    pub fn head_ready(&self) -> bool {
-        find_head_end(&self.buf).is_some() || self.buf.len() >= MAX_HEAD_BYTES
+    /// Switch the socket between the loop's nonblocking I/O and a
+    /// worker's blocking, timeout-bounded I/O.
+    pub fn set_blocking(&self, blocking: bool) -> io::Result<()> {
+        self.stream.set_nonblocking(!blocking)
     }
 
-    /// True when unconsumed request bytes are buffered.
-    pub fn has_buffered(&self) -> bool {
-        !self.buf.is_empty()
+    /// Between requests: nothing buffered either way, and at least one
+    /// request answered. Such a connection is parked on the keep-alive
+    /// clock rather than the header clock.
+    pub fn is_idle(&self) -> bool {
+        self.served > 0 && self.buf.is_empty() && !self.has_pending_output()
     }
 
-    /// Re-open the request window (e.g. when a parked connection wakes
-    /// up with fresh bytes pending, or after a fairness recycle): the
-    /// next head gets a full `header_timeout` from now.
+    /// Response bytes are still waiting for the socket.
+    pub fn has_pending_output(&self) -> bool {
+        self.written < self.out.len()
+    }
+
+    /// Re-open the connection's window from now (after a response went
+    /// out, or when a worker hands the connection back).
     pub fn rearm(&mut self) {
         self.anchor = Instant::now();
+    }
+
+    /// When the current request's budget opened: accept time for the
+    /// first request, the start of the request window after that.
+    pub fn request_started(&self) -> Instant {
+        if self.served == 0 {
+            self.accepted
+        } else {
+            self.anchor
+        }
+    }
+
+    /// When the connection's current window runs out: the write window
+    /// while output is pending, the keep-alive window while idle, the
+    /// header window otherwise.
+    pub fn deadline(&self, header: Duration, keepalive: Duration, write: Duration) -> Instant {
+        let window = if self.has_pending_output() {
+            write
+        } else if self.is_idle() {
+            keepalive
+        } else {
+            header
+        };
+        self.anchor + window
     }
 
     /// Append freshly read bytes, re-arming the anchor when they open a
@@ -174,107 +231,80 @@ impl Conn {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Read one request head, giving up at `anchor + header_timeout`.
-    ///
-    /// The socket read timeout is re-armed to the *remaining* budget
-    /// before every read, so a peer trickling one byte per timeout
-    /// window cannot extend its welcome — wall time for one head is
-    /// bounded no matter how the bytes arrive. Consumed bytes are
-    /// drained from the buffer; anything past the blank line (a body, or
-    /// the next pipelined request) stays buffered.
-    pub fn read_head(&mut self, header_timeout: Duration) -> Result<RequestHead, HeadError> {
+    /// Read whatever the nonblocking socket holds, stopping once a
+    /// complete head (or the 431 cap) is buffered. Returns `false` once
+    /// the peer has closed its send side or the read failed; bytes read
+    /// before that stay buffered for [`Conn::next_head`].
+    pub fn read_ready(&mut self) -> bool {
         let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(head_end) = find_head_end(&self.buf) {
-                let head = parse_head(&self.buf[..head_end])?;
-                self.buf.drain(..head_end);
-                if !self.buf.is_empty() {
-                    // The next pipelined request is already here; its
-                    // window opens when this parse completes, not when
-                    // its bytes happened to arrive behind a busy server.
-                    self.anchor = Instant::now();
-                }
-                return Ok(head);
-            }
-            if self.buf.len() >= MAX_HEAD_BYTES {
-                return Err(HeadError::TooLarge);
-            }
-            let deadline = self.anchor + header_timeout;
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(HeadError::TimedOut);
-            }
-            if self
-                .stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .is_err()
-            {
-                return Err(HeadError::ConnectionLost);
-            }
+        while find_head_end(&self.buf).is_none() && self.buf.len() < MAX_HEAD_BYTES {
             match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF between requests on a kept-alive connection is
-                    // a clean hangup, not a protocol failure.
-                    return if self.buf.is_empty() && self.served > 0 {
-                        Err(HeadError::Closed)
-                    } else {
-                        Err(HeadError::ConnectionLost)
-                    };
-                }
+                Ok(0) => return false,
                 Ok(n) => self.fill(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Err(HeadError::TimedOut),
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => return Err(HeadError::TimedOut),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(HeadError::ConnectionLost),
+                Err(_) => return false,
             }
         }
+        true
     }
 
-    /// Wait up to `wait` for the next pipelined request. Returns as soon
-    /// as a complete head is buffered, the peer hangs up, or the window
-    /// elapses — a worker lingers here briefly after a response before
-    /// handing the idle connection to the parker.
-    pub fn await_request(&mut self, wait: Duration) -> ConnProgress {
-        let deadline = Instant::now() + wait;
-        let mut chunk = [0u8; 4096];
-        loop {
-            if self.head_ready() {
-                return ConnProgress::HeadReady;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return ConnProgress::Idle;
-            }
-            if self
-                .stream
-                .set_read_timeout(Some(remaining.max(Duration::from_micros(100))))
-                .is_err()
-            {
-                return ConnProgress::Closed;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        ConnProgress::Closed
-                    } else {
-                        // Half-closed with a partial request buffered:
-                        // let read_head classify it (connection-lost).
-                        ConnProgress::HeadReady
-                    };
-                }
-                Ok(n) => self.fill(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnProgress::Idle,
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => return ConnProgress::Idle,
+    /// Take the next buffered request head without touching the socket:
+    /// `None` while no complete head is buffered, the head once it is,
+    /// or the verdict on one that can never parse. Consumed bytes are
+    /// drained; anything past the blank line (a body, or the next
+    /// pipelined request) stays buffered.
+    pub fn next_head(&mut self) -> Option<Result<RequestHead, HeadError>> {
+        let Some(head_end) = find_head_end(&self.buf) else {
+            return (self.buf.len() >= MAX_HEAD_BYTES).then_some(Err(HeadError::TooLarge));
+        };
+        let head = parse_head(&self.buf[..head_end]);
+        self.buf.drain(..head_end);
+        if !self.buf.is_empty() {
+            // The next pipelined request is already here; its window
+            // opens when this parse completes, not when its bytes
+            // happened to arrive behind a busy server.
+            self.anchor = Instant::now();
+        }
+        Some(head)
+    }
+
+    /// Serialise `resp` and write as much of it as the nonblocking
+    /// socket takes now; the rest waits for [`Conn::flush`]. `close`
+    /// selects the `Connection:` header and what [`Flush`] reports once
+    /// the bytes are out.
+    pub fn send(&mut self, resp: &Response, close: bool) -> Flush {
+        self.encode(resp, close);
+        let flushed = self.flush();
+        if flushed == Flush::Pending {
+            self.anchor = Instant::now();
+        }
+        flushed
+    }
+
+    /// Write pending response bytes until done or the socket is full.
+    pub fn flush(&mut self) -> Flush {
+        while self.has_pending_output() {
+            match self.stream.write(&self.out[self.written..]) {
+                Ok(0) => return Flush::Close,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flush::Pending,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnProgress::Closed,
+                Err(_) => return Flush::Close,
             }
+        }
+        if self.close_after {
+            Flush::Close
+        } else {
+            Flush::Done
         }
     }
 
     /// Read exactly `Content-Length` body bytes, starting from whatever
-    /// is already buffered, giving up at `deadline`. The same re-armed
-    /// timeout discipline as [`Conn::read_head`] applies: a client
-    /// dripping body bytes cannot hold the thread past the deadline.
+    /// is already buffered, giving up at `deadline`. The socket read
+    /// timeout is re-armed to the *remaining* budget before every read,
+    /// so a client dripping body bytes cannot hold the thread past the
+    /// deadline.
     pub fn read_body(
         &mut self,
         head: &RequestHead,
@@ -320,16 +350,50 @@ impl Conn {
         Ok(body)
     }
 
-    /// Serialise `resp` onto the socket with a write timeout. `close`
-    /// selects the `Connection:` header; the caller drops the `Conn` to
-    /// actually close.
+    /// Serialise `resp` onto the blocking socket with a write timeout.
+    /// `close` selects the `Connection:` header; the caller drops the
+    /// `Conn` to actually close. Write errors are returned but callers
+    /// generally ignore them beyond closing: a peer that hung up before
+    /// its response is its own problem.
     pub fn write_response(
         &mut self,
         resp: &Response,
         timeout: Duration,
         close: bool,
     ) -> io::Result<()> {
-        write_response_to(&mut self.stream, resp, timeout, close)
+        self.stream.set_write_timeout(Some(timeout))?;
+        self.encode(resp, close);
+        let result = self.stream.write_all(&self.out[self.written..]);
+        self.written = self.out.len();
+        result
+    }
+
+    /// Append `resp` to the output buffer. Every response carries an
+    /// explicit `Content-Length` and a `Connection:` verdict, so a
+    /// keep-alive peer can frame the next response without sniffing.
+    fn encode(&mut self, resp: &Response, close: bool) {
+        if !self.has_pending_output() {
+            self.out.clear();
+            self.written = 0;
+        }
+        self.close_after = close;
+        let _ = write!(
+            self.out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            resp.status,
+            reason_phrase(resp.status),
+            resp.content_type,
+            resp.body.len(),
+            if close { "close" } else { "keep-alive" },
+        );
+        if let Some(encoding) = resp.content_encoding {
+            let _ = write!(self.out, "Content-Encoding: {encoding}\r\n");
+        }
+        if let Some(secs) = resp.retry_after {
+            let _ = write!(self.out, "Retry-After: {secs}\r\n");
+        }
+        self.out.extend_from_slice(b"\r\n");
+        self.out.extend_from_slice(resp.body.as_slice());
     }
 }
 
@@ -560,49 +624,9 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Serialise `resp` onto `stream` with a write timeout. Every response
-/// carries an explicit `Content-Length` and a `Connection:` verdict, so
-/// a keep-alive peer can frame the next response without sniffing.
-/// Write errors are returned but callers generally ignore them beyond
-/// closing: a peer that hung up before its response is its own problem.
-pub fn write_response_to(
-    stream: &mut TcpStream,
-    resp: &Response,
-    timeout: Duration,
-    close: bool,
-) -> io::Result<()> {
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        resp.status,
-        reason_phrase(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        if close { "close" } else { "keep-alive" },
-    );
-    if let Some(encoding) = resp.content_encoding {
-        head.push_str(&format!("Content-Encoding: {encoding}\r\n"));
-    }
-    if let Some(secs) = resp.retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
-    }
-    head.push_str("\r\n");
-    // One write for head + small bodies halves the syscalls on the hot
-    // path; large bodies go out as a second write to skip the copy.
-    let body = resp.body.as_slice();
-    if body.len() <= 16 * 1024 {
-        let mut frame = head.into_bytes();
-        frame.extend_from_slice(body);
-        stream.write_all(&frame)?;
-    } else {
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-    }
-    stream.flush()
-}
-
-/// Pre-serialised 503 for the accept path: when even the triage queue is
-/// full the acceptor writes this without reading a single request byte.
+/// Pre-serialised 503 for the accept path: when a shard already holds
+/// `accept_backlog` connections without a complete head, the readiness
+/// loop writes this to the newcomer without reading a single byte.
 pub const RAW_SHED_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
 Content-Type: text/plain; charset=utf-8\r\nContent-Length: 19\r\n\
 Retry-After: 1\r\nConnection: close\r\n\r\noverloaded: accept\n";
@@ -697,6 +721,89 @@ mod tests {
         assert_eq!(HeadError::Malformed.as_str(), "malformed");
         assert_eq!(HeadError::ConnectionLost.as_str(), "connection-lost");
         assert_eq!(HeadError::Closed.as_str(), "closed");
+    }
+
+    /// A loop-side connection and the client talking to it.
+    fn conn_pair() -> (Conn, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = Conn::new(listener.accept().unwrap().0);
+        conn.set_blocking(false).unwrap();
+        (conn, client)
+    }
+
+    /// Read until `want` heads are parsed, one is refused, or the peer
+    /// closes.
+    fn heads(conn: &mut Conn, want: usize) -> (Vec<Result<RequestHead, HeadError>>, bool) {
+        let (mut out, mut open) = (Vec::new(), true);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while out.len() < want && open && Instant::now() < deadline {
+            open = conn.read_ready();
+            while let Some(head) = conn.next_head() {
+                let refused = head.is_err();
+                out.push(head);
+                if refused {
+                    return (out, open);
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (out, open)
+    }
+
+    #[test]
+    fn nonblocking_reads_split_pipelined_heads_and_keep_the_rest() {
+        let (mut conn, mut client) = conn_pair();
+        assert!(conn.read_ready(), "nothing sent yet: still open");
+        assert!(conn.next_head().is_none());
+        client
+            .write_all(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTT")
+            .unwrap();
+        let (got, open) = heads(&mut conn, 2);
+        assert!(open);
+        let paths: Vec<String> = got.into_iter().map(|h| h.unwrap().path).collect();
+        assert_eq!(paths, ["/a", "/b"]);
+        // The partial third head stays buffered on the header clock.
+        assert!(conn.next_head().is_none());
+        assert!(!conn.is_idle());
+        let window = Duration::from_secs(2);
+        let deadline = conn.deadline(window, Duration::from_secs(60), Duration::from_secs(60));
+        assert!(deadline <= Instant::now() + window);
+
+        // The peer hangs up mid-head: the tail is reported, then EOF.
+        client.write_all(b"P/1.1\r\n\r\n").unwrap();
+        drop(client);
+        let (got, _) = heads(&mut conn, 1);
+        assert_eq!(got[0].as_ref().unwrap().path, "/c");
+        let (_, open) = heads(&mut conn, 1);
+        assert!(!open, "EOF must be reported");
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_at_the_cap() {
+        let (mut conn, mut client) = conn_pair();
+        client.write_all(&vec![b'a'; MAX_HEAD_BYTES + 10]).unwrap();
+        let (got, _) = heads(&mut conn, 1);
+        assert_eq!(got, [Err(HeadError::TooLarge)]);
+    }
+
+    #[test]
+    fn nonblocking_send_frames_the_response_and_honours_close() {
+        let (mut conn, mut client) = conn_pair();
+        conn.served = 1;
+        assert!(conn.is_idle());
+        assert_eq!(conn.send(&Response::text(200, "ok\n"), false), Flush::Done);
+        assert!(!conn.has_pending_output());
+        assert_eq!(conn.send(&Response::shed("queue-full"), true), Flush::Close);
+        drop(conn);
+        let mut wire = String::new();
+        client.read_to_string(&mut wire).unwrap();
+        assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"), "{wire}");
+        assert!(wire.contains("Connection: keep-alive\r\n"));
+        let second = &wire[wire.find("HTTP/1.1 503").expect("second response")..];
+        assert!(second.contains("Connection: close\r\n"));
+        assert!(second.contains("Retry-After: 1\r\n"));
+        assert!(second.ends_with("overloaded: queue-full\n"));
     }
 
     #[test]

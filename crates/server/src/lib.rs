@@ -7,15 +7,15 @@
 //!
 //! | endpoint                  | body | plane |
 //! |---------------------------|------|-------|
-//! | `GET /healthz`            | `ok` | triage (never queued) |
-//! | `GET /readyz`             | JSON trace identity | triage |
-//! | `GET /v1/meta`            | JSON trace identity + engine kind + version | triage |
-//! | `GET /v1/stats`           | JSON server counters + telemetry | triage |
-//! | `GET /v1/head`            | JSON live-ingest head state (published day, lag, health) | triage |
-//! | `GET /metrics`            | Prometheus text exposition | triage |
-//! | `GET /v1/days`            | JSON day lists | workers |
-//! | `GET /v1/metrics/{day}`   | CSV header + row, byte-identical to `osn metrics` | workers |
-//! | `GET /v1/communities/{day}` | CSV header + row, byte-identical to `osn communities` | workers |
+//! | `GET /healthz`            | `ok` | inline (never queued) |
+//! | `GET /readyz`             | JSON trace identity | inline |
+//! | `GET /v1/meta`            | JSON trace identity + engine kind + version | inline |
+//! | `GET /v1/stats`           | JSON server counters + telemetry | inline |
+//! | `GET /v1/head`            | JSON live-ingest head state (published day, lag, health) | inline |
+//! | `GET /metrics`            | Prometheus text exposition | inline |
+//! | `GET /v1/days`            | JSON day lists | workers (inline on a cache hit) |
+//! | `GET /v1/metrics/{day}`   | CSV header + row, byte-identical to `osn metrics` | workers (inline on a cache hit) |
+//! | `GET /v1/communities/{day}` | CSV header + row, byte-identical to `osn communities` | workers (inline on a cache hit) |
 //! | `POST /v1/events`         | JSON append ack (WAL seq, dedup flag) | workers |
 //!
 //! `POST /v1/events` is the durable write plane (`serve
@@ -30,9 +30,9 @@
 //!
 //! Robustness is the design center, not throughput:
 //!
-//! * **Bounded everywhere** — accept, triage, and work queues all have
-//!   hard bounds; overflow is answered with an immediate `503` +
-//!   `Retry-After`, never an unbounded backlog.
+//! * **Bounded everywhere** — connections still sending their head and
+//!   the work queue both have hard bounds; overflow is answered with an
+//!   immediate `503` + `Retry-After`, never an unbounded backlog.
 //! * **Hostile-client proof** — request heads are read under a deadline
 //!   counted from accept (slow-loris), capped in size (header floods),
 //!   and a half-closed client still gets its response.

@@ -1,98 +1,78 @@
-//! The daemon: sharded acceptors → per-shard triage → bounded per-shard
-//! work queues → handler workers with keep-alive continuation, explicit
-//! load shedding at every hand-off, and a deadline-bounded graceful
-//! drain.
+//! The daemon: one readiness loop per shard that owns every connection
+//! of the shard, a bounded per-shard work queue feeding handler workers,
+//! explicit load shedding at every hand-off, and a deadline-bounded
+//! graceful drain.
 //!
 //! ```text
-//!   shard 0..N  (SO_REUSEPORT listeners; single-dispatch fallback)
-//!        │ accept (nonblocking poll)
-//!        │  try_send ── full ⇒ raw 503, no read
-//!        ▼
-//!   triage queue (bounded, per shard)
+//!   shard 0..N  (one listener each; SO_REUSEPORT siblings when N > 1)
 //!        │
-//!   triage (1–2 threads per shard)
-//!   - read head under the per-request header window (slow-loris cutoff)
-//!   - /healthz, /readyz, 4xx: answered HERE, never queued,
-//!     so probes stay green while the work queue burns
-//!        │  try_send ── full ⇒ 503 + Retry-After
+//!   readiness loop (1 thread per shard): one poll(2) over the listener,
+//!   every connection the shard owns, and a wake socket
+//!   - accept: accept_backlog connections already without a complete
+//!     head ⇒ raw 503, no read
+//!   - read heads nonblocking under the header deadline (408, slow-loris)
+//!   - /healthz, /readyz, /v1/stats, /metrics, 4xx and response-cache
+//!     hits: answered HERE and written nonblocking, never queued, so
+//!     probes stay green while the work queue burns
+//!   - idle keep-alive connections wait in the same poll set, culled
+//!     at --keepalive-timeout
+//!        │ cache miss, admitted POST /v1/events, chaos
+//!        │ try_send ── full ⇒ 503 + Retry-After
 //!        ▼
 //!   work queue (bounded, --queue-depth per shard)
 //!        │
 //!   handler workers (--workers split across shards)
 //!   - per-request soft deadline net of queue wait
 //!   - catch_unwind panic isolation via the shared supervisor
-//!   - keep-alive continuation: pipelined requests on the same
-//!     connection are answered in arrival order without re-queueing,
-//!     up to a fairness burst, then the connection is recycled
-//!        │ idle keep-alive connections
-//!        ▼
-//!   parker (1 thread per shard): poll(2) readiness sweep, wakes
-//!   connections back into triage, culls idlers at --keepalive-timeout
+//!   - blocking body read and response write, then the connection goes
+//!     back to its loop (channel + wake byte), which answers whatever
+//!     pipelined heads are already buffered
 //! ```
 //!
-//! Shutdown: flip the shared flag → acceptors stop, each stage drains
-//! what it already holds on its next tick and exits, the parker closes
-//! every idle connection, and in-flight keep-alive connections are
-//! closed after their current response. The coordinator waits up to the
-//! drain deadline; whatever is still unanswered after that is *aborted*
-//! (reported, and mapped to exit 4 by the CLI).
+//! A connection has one owner at a time — its loop or one worker — and
+//! the loop parses no further head on a connection while a response on
+//! it is pending, so pipelined responses leave in request order. No
+//! thread ever waits on an idle socket.
+//!
+//! Shutdown: flip the shared flag and wake every loop → each loop closes
+//! its listener and its idle connections, finishes the heads it is
+//! reading, and closes every connection after its current response; the
+//! workers exit once their loop is gone and the queue is empty. The
+//! coordinator waits up to the drain deadline; whatever is still
+//! unanswered after that is *aborted* (reported, and mapped to exit 4 by
+//! the CLI).
 
 use crate::accesslog::{AccessLog, ServerStats, StatsSnapshot};
 use crate::cache::{CacheKind, ResponseCache};
-use crate::handlers::{handle, HandlerPolicy};
-use crate::http::{Conn, ConnProgress, HeadError, RequestHead, Response, RAW_SHED_503};
-use crate::net::{bind_shard_listeners, AcceptMode};
+use crate::handlers::{handle, Handled, HandlerPolicy};
+use crate::http::{Conn, Flush, HeadError, RequestHead, Response, RAW_SHED_503};
+use crate::net::{bind_shard_listeners, poll, PollFd, POLLIN, POLLOUT};
 use crate::router::{route, Route};
 use crate::write::{WritePlaneConfig, WriteState};
 use osn_core::live::LiveQuery;
 use osn_core::query::SnapshotQuery;
 use osn_graph::testutil::ChaosTaskPlan;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Triage threads per shard. Two in the classic single-shard layout so
-/// one hostile slow peer cannot serialise everyone behind it; one per
-/// shard once sharding already provides that isolation.
-fn triage_threads(shards: usize) -> usize {
-    if shards == 1 {
-        2
-    } else {
-        1
-    }
-}
-
-/// Hard cap on auto-detected shards: beyond this the acceptor fan-in
+/// Hard cap on auto-detected shards: beyond this the listener fan-out
 /// stops paying for itself on the workloads this daemon sees.
 const MAX_AUTO_SHARDS: usize = 8;
 
-/// Socket write timeout for responses.
+/// Budget for getting one response onto the socket.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How long a worker lingers on a kept-alive connection waiting for the
-/// next pipelined request before handing it to the parker. Closed-loop
-/// clients answer well inside this; anything slower parks.
-const WORKER_LINGER: Duration = Duration::from_millis(1);
-
-/// Requests a worker answers on one connection before recycling it
-/// through the triage queue, so one chatty pipeliner cannot pin a
-/// worker while other connections queue.
-const WORKER_BURST: u64 = 64;
-
-/// Fast-path requests triage answers inline on one connection before
-/// recycling it, bounding how long a probe pipeliner can camp on a
-/// triage thread.
-const TRIAGE_BURST: u64 = 32;
-
-/// Idle tick for stage loops: how often a blocked dequeue re-checks the
-/// shutdown flag. Bounds drain latency, not request latency.
-const STAGE_TICK: Duration = Duration::from_millis(20);
+/// How long a loop stops accepting after an accept error (fd exhaustion
+/// under a connect flood) instead of spinning on a listener that stays
+/// readable.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Everything `Server::start` needs. `Default` gives the classic
 /// single-shard values; tests override the knobs they are drilling and
@@ -107,12 +87,12 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on each shard's work queue; beyond it requests are shed.
     pub queue_depth: usize,
-    /// Bound on each shard's accept→triage queue. Triage drains in
-    /// microseconds per parsed head, so this can sit well above
-    /// `queue_depth` without creating real backlog — it exists so health
-    /// probes keep flowing while the work queue sheds, yet a connect
-    /// flood still hits a hard wall (raw 503, no read) instead of
-    /// unbounded fd growth.
+    /// Cap on each shard's connections that have no complete request head
+    /// yet (fresh connects and heads still arriving). Heads parse in
+    /// microseconds, so this can sit well above `queue_depth` without
+    /// creating real backlog — it exists so health probes keep flowing
+    /// while the work queue sheds, yet a connect flood still hits a hard
+    /// wall (raw 503, no read) instead of unbounded fd growth.
     pub accept_backlog: usize,
     /// Per-request soft deadline, covering queue wait plus handling.
     pub request_timeout: Duration,
@@ -132,12 +112,14 @@ pub struct ServerConfig {
     /// Durable write plane (`POST /v1/events`). `None` — the default —
     /// keeps the daemon read-only: the route answers `403`.
     pub write: Option<WritePlaneConfig>,
-    /// Acceptor/queue shards. 1 = the classic single-acceptor layout;
-    /// 0 = one shard per core (capped); N = exactly N shards, each with
-    /// its own `SO_REUSEPORT` listener, queues, workers, and parker.
+    /// Listener shards. 1 = one listener and one readiness loop; 0 = one
+    /// shard per core (capped); N = exactly N shards, each with its own
+    /// `SO_REUSEPORT` listener, readiness loop, work queue and workers.
+    /// With more than one shard a failed `SO_REUSEPORT` bind fails
+    /// startup.
     pub shards: usize,
-    /// Idle keep-alive connections are closed after this long parked
-    /// with no request bytes.
+    /// Idle keep-alive connections are closed after this long with no
+    /// request bytes.
     pub keepalive_timeout: Duration,
     /// Hot-day response cache (pre-rendered CSV + precompressed gzip).
     /// Forced off when `chaos` is set.
@@ -204,8 +186,7 @@ impl ShardStats {
 }
 
 /// Decrements `in_flight` when the connection is dropped, however it is
-/// dropped — answered, shed, culled by the parker, or abandoned by a
-/// panicking stage.
+/// dropped — answered, shed, culled, or abandoned by a panicking stage.
 #[derive(Debug)]
 struct Ticket(Arc<Shared>);
 
@@ -215,7 +196,7 @@ impl Drop for Ticket {
     }
 }
 
-/// One accepted connection moving through the shard pipeline.
+/// One accepted connection moving between its loop and the workers.
 #[derive(Debug)]
 struct Flow {
     conn: Conn,
@@ -227,18 +208,15 @@ struct Job {
     flow: Flow,
     head: RequestHead,
     route: Route,
-    /// When this request's budget opened: accept time for a fresh
-    /// connection, parse time for a kept-alive continuation.
+    /// When this request's budget opened (see [`Conn::request_started`]).
     started: Instant,
+    /// When the loop put the job on the work queue.
+    queued: Instant,
 }
 
-/// The channel ends a shard's stages share.
-#[derive(Clone)]
-struct ShardChannels {
-    triage_tx: SyncSender<Flow>,
-    work_tx: SyncSender<Job>,
-    park_tx: Sender<Flow>,
-}
+/// A connection a worker hands back to its loop, and whether it stays
+/// open.
+type Returned = (Flow, bool);
 
 /// Shared state every stage touches.
 #[derive(Debug)]
@@ -248,13 +226,10 @@ struct Shared {
     log: AccessLog,
     shutdown: AtomicBool,
     /// Connections accepted but not yet answered-and-closed (includes
-    /// parked keep-alive connections).
+    /// idle keep-alive connections).
     in_flight: AtomicU64,
-    /// Triage + worker + parker threads still running.
+    /// Loop + worker threads still running.
     live_threads: AtomicUsize,
-    /// Triage threads still running — workers drain out only after the
-    /// last triage thread can no longer feed them.
-    triage_live: AtomicUsize,
     request_timeout: Duration,
     header_timeout: Duration,
     keepalive_timeout: Duration,
@@ -291,6 +266,16 @@ impl Shared {
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Whether the connection closes after this request's response: the
+    /// peer asked, the server is draining, or a body sits unread in the
+    /// socket, where it would be parsed as the next head (only the write
+    /// plane consumes bodies).
+    fn closes_after(&self, head: &RequestHead, route: Route) -> bool {
+        head.wants_close
+            || self.shutting_down()
+            || (head.content_length.unwrap_or(0) > 0 && route != Route::PostEvents)
     }
 }
 
@@ -342,13 +327,14 @@ fn record_http_telemetry(path: &str, status: u16, elapsed: Duration, load_shed: 
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    stage_handles: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
+    /// The write end of each shard loop's wake socket.
+    wakers: Vec<Arc<UnixStream>>,
     drain_timeout: Duration,
 }
 
 impl Server {
-    /// Bind, spawn the pipeline, and return once the listeners are live.
+    /// Bind, spawn the shards, and return once the listeners are live.
     /// Serves one frozen snapshot (batch mode).
     pub fn start(cfg: ServerConfig, query: Arc<SnapshotQuery>) -> io::Result<Server> {
         Server::start_live(cfg, LiveQuery::fixed(query))
@@ -379,9 +365,8 @@ impl Server {
             cfg.workers
         };
         let workers_per_shard = (workers_total / shards).max(1);
-        let triage_per_shard = triage_threads(shards);
 
-        let (listeners, addr, mode) = bind_shard_listeners(&cfg.addr, shards)?;
+        let (listeners, addr) = bind_shard_listeners(&cfg.addr, shards)?;
 
         let shared = Arc::new(Shared {
             live,
@@ -389,8 +374,7 @@ impl Server {
             log: cfg.access_log,
             shutdown: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            live_threads: AtomicUsize::new(shards * (triage_per_shard + workers_per_shard + 1)),
-            triage_live: AtomicUsize::new(shards * triage_per_shard),
+            live_threads: AtomicUsize::new(shards * (1 + workers_per_shard)),
             request_timeout: cfg.request_timeout,
             header_timeout: cfg.header_timeout,
             keepalive_timeout: cfg.keepalive_timeout,
@@ -401,87 +385,54 @@ impl Server {
             shards: (0..shards).map(ShardStats::new).collect(),
         });
 
-        let mut stage_handles =
-            Vec::with_capacity(shards * (triage_per_shard + workers_per_shard + 1));
-        let mut shard_channels = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (triage_tx, triage_rx) = sync_channel::<Flow>(cfg.accept_backlog.max(1));
+        let mut threads = Vec::with_capacity(shards * (1 + workers_per_shard));
+        let mut wakers = Vec::with_capacity(shards);
+        for (shard, listener) in listeners.into_iter().enumerate() {
+            let (wake, waker) = UnixStream::pair()?;
+            wake.set_nonblocking(true)?;
+            waker.set_nonblocking(true)?;
+            let waker = Arc::new(waker);
             let (work_tx, work_rx) = sync_channel::<Job>(cfg.queue_depth);
-            let (park_tx, park_rx) = channel::<Flow>();
-            let chans = ShardChannels {
-                triage_tx,
-                work_tx,
-                park_tx,
-            };
-            let triage_rx = Arc::new(Mutex::new(triage_rx));
+            let (back_tx, back_rx) = channel::<Returned>();
             let work_rx = Arc::new(Mutex::new(work_rx));
-            for i in 0..triage_per_shard {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&triage_rx);
-                let chans = chans.clone();
-                stage_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("osn-triage-{shard}-{i}"))
-                        .spawn(move || triage_loop(&shared, shard, &rx, &chans))?,
-                );
-            }
             for i in 0..workers_per_shard {
                 let shared = Arc::clone(&shared);
                 let rx = Arc::clone(&work_rx);
-                let chans = chans.clone();
-                stage_handles.push(
+                let back = back_tx.clone();
+                let waker = Arc::clone(&waker);
+                threads.push(
                     std::thread::Builder::new()
                         .name(format!("osn-worker-{shard}-{i}"))
-                        .spawn(move || worker_loop(&shared, shard, &rx, &chans))?,
+                        .spawn(move || worker_loop(&shared, shard, &rx, &back, &waker))?,
                 );
             }
-            {
-                let shared = Arc::clone(&shared);
-                let chans = chans.clone();
-                stage_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("osn-parker-{shard}"))
-                        .spawn(move || parker_loop(&shared, shard, &park_rx, &chans))?,
-                );
-            }
-            shard_channels.push(chans);
+            let shard_loop = ShardLoop {
+                shared: Arc::clone(&shared),
+                shard,
+                listener: Some(listener),
+                wake,
+                work_tx,
+                back_rx,
+                conns: Vec::new(),
+                lent: 0,
+                heading: 0,
+                accept_backlog: cfg.accept_backlog.max(1),
+                accept_paused_until: None,
+                published: (0, 0),
+            };
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("osn-loop-{shard}"))
+                    .spawn(move || shard_loop.run())?,
+            );
+            wakers.push(waker);
         }
-
-        let mut acceptors = Vec::with_capacity(listeners.len());
-        match mode {
-            AcceptMode::ReusePort => {
-                for (shard, listener) in listeners.into_iter().enumerate() {
-                    let shared = Arc::clone(&shared);
-                    let targets = vec![(shard, shard_channels[shard].triage_tx.clone())];
-                    acceptors.push(
-                        std::thread::Builder::new()
-                            .name(format!("osn-acceptor-{shard}"))
-                            .spawn(move || accept_loop(&shared, &listener, &targets))?,
-                    );
-                }
-            }
-            AcceptMode::SingleDispatch => {
-                let listener = listeners.into_iter().next().expect("one listener");
-                let shared = Arc::clone(&shared);
-                let targets: Vec<(usize, SyncSender<Flow>)> = shard_channels
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (i, c.triage_tx.clone()))
-                    .collect();
-                acceptors.push(
-                    std::thread::Builder::new()
-                        .name("osn-acceptor".to_string())
-                        .spawn(move || accept_loop(&shared, &listener, &targets))?,
-                );
-            }
-        }
-        drop(shard_channels);
 
         Ok(Server {
             addr,
             shared,
-            acceptors,
-            stage_handles,
+            threads,
+            wakers,
             drain_timeout: cfg.drain_timeout,
         })
     }
@@ -500,6 +451,9 @@ impl Server {
     /// Idempotent; does not block — follow with [`Server::join`].
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            wake(waker);
+        }
     }
 
     /// Wait for shutdown (someone must call [`Server::request_shutdown`]
@@ -507,13 +461,13 @@ impl Server {
     /// already holds, bounded by the drain deadline. Whatever is still
     /// unanswered at the deadline is abandoned and reported.
     pub fn join(self) -> DrainReport {
-        for a in self.acceptors {
-            let _ = a.join();
+        while !self.shared.shutting_down() {
+            std::thread::sleep(Duration::from_millis(2));
         }
         let deadline = Instant::now() + self.drain_timeout;
         loop {
             if self.shared.live_threads.load(Ordering::Acquire) == 0 {
-                for h in self.stage_handles {
+                for h in self.threads {
                     let _ = h.join();
                 }
                 return DrainReport { aborted: 0 };
@@ -531,6 +485,12 @@ impl Server {
     }
 }
 
+/// Nudge a shard loop out of `poll`. A full socket already holds an
+/// unread nudge, so a failed write loses nothing.
+fn wake(waker: &UnixStream) {
+    let _ = (&*waker).write(&[1]);
+}
+
 /// Decrement a live-count even if a stage loop panics.
 struct CountGuard<'a>(&'a AtomicUsize);
 
@@ -540,71 +500,431 @@ impl Drop for CountGuard<'_> {
     }
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    targets: &[(usize, SyncSender<Flow>)],
-) {
-    let mut next = 0usize;
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Accepted sockets must be blocking regardless of what
-                // they inherited from the nonblocking listener.
-                let _ = stream.set_nonblocking(false);
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.in_flight.fetch_add(1, Ordering::Release);
-                let flow = Flow {
-                    conn: Conn::new(stream),
-                    _ticket: Ticket(Arc::clone(shared)),
+/// One shard's readiness loop: the only thread that touches the shard's
+/// listener and its connections while they are between workers.
+struct ShardLoop {
+    shared: Arc<Shared>,
+    shard: usize,
+    /// `None` once draining.
+    listener: Option<TcpListener>,
+    /// Read end of the wake socket: workers (and shutdown) write a byte.
+    wake: UnixStream,
+    /// The work queue's only sender: dropping it lets the workers exit.
+    work_tx: SyncSender<Job>,
+    back_rx: Receiver<Returned>,
+    /// The connections this loop owns, all nonblocking, in poll order.
+    conns: Vec<Flow>,
+    /// Connections out with workers (queued or being handled).
+    lent: usize,
+    /// Owned connections without a complete head yet.
+    heading: usize,
+    accept_backlog: usize,
+    accept_paused_until: Option<Instant>,
+    /// `(heading, idle)` as last added to the shard gauges, which are
+    /// moved by deltas so several servers in one process add up.
+    published: (i64, i64),
+}
+
+impl ShardLoop {
+    fn run(mut self) {
+        let shared = Arc::clone(&self.shared);
+        let _threads = CountGuard(&shared.live_threads);
+        let (header, keepalive) = (shared.header_timeout, shared.keepalive_timeout);
+        let deadline = |f: &Flow| f.conn.deadline(header, keepalive, WRITE_TIMEOUT);
+        let mut fds: Vec<PollFd> = Vec::new();
+        loop {
+            if shared.shutting_down() {
+                // Stop accepting; idle connections have no request in
+                // flight, so the drain closes them at once.
+                self.listener = None;
+                self.conns.retain(|f| !f.conn.is_idle());
+                if self.conns.is_empty() && self.lent == 0 {
+                    break;
+                }
+            }
+            // One pass builds the poll set, finds the earliest deadline
+            // (the poll timeout) and counts the shard gauges.
+            let now = Instant::now();
+            self.accept_paused_until = self.accept_paused_until.filter(|&t| t > now);
+            let mut next = self.accept_paused_until;
+            let listener = match &self.listener {
+                Some(l) if next.is_none() => l.as_raw_fd(),
+                _ => -1,
+            };
+            fds.clear();
+            fds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
+            fds.push(PollFd::new(listener, POLLIN));
+            let (mut heading, mut idle) = (0, 0);
+            for f in &self.conns {
+                let d = deadline(f);
+                next = Some(next.map_or(d, |n| n.min(d)));
+                let events = if f.conn.has_pending_output() {
+                    POLLOUT
+                } else if f.conn.is_idle() {
+                    idle += 1;
+                    POLLIN
+                } else {
+                    heading += 1;
+                    POLLIN
                 };
-                // Round-robin across shards (a reuseport acceptor has
-                // exactly one target), failing over once around before
-                // shedding.
-                let mut rejected = Some(flow);
-                for attempt in 0..targets.len() {
-                    let (shard, tx) = &targets[(next + attempt) % targets.len()];
-                    // Gauge up *before* the send: the receiver's
-                    // matching `sub` can run the instant the flow lands,
-                    // and a decrement racing ahead of this increment
-                    // would show a negative depth in /v1/stats.
-                    shared.shards[*shard].triage_depth.add(1);
-                    match tx.try_send(rejected.take().expect("flow present")) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(f) | TrySendError::Disconnected(f)) => {
-                            shared.shards[*shard].triage_depth.sub(1);
-                            rejected = Some(f)
-                        }
-                    }
-                }
-                if let Some(flow) = rejected {
-                    // Every triage queue is backed up: answer with a
-                    // canned 503 without reading a byte, so the reject
-                    // path costs nothing a flood can amplify.
-                    let accepted = flow.conn.accepted;
-                    let _ = flow
-                        .conn
-                        .stream()
-                        .set_write_timeout(Some(Duration::from_millis(200)));
-                    let _ = raw_shed(flow.conn.stream());
-                    let shard = targets[next % targets.len()].0;
-                    shared.finish(shard, "-", "-", 503, accepted, "shed");
-                }
-                next = next.wrapping_add(1);
+                fds.push(PollFd::new(f.conn.stream().as_raw_fd(), events));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+            self.heading = heading;
+            self.publish(heading as i64, idle);
+            if poll(&mut fds, next.map(|t| t.saturating_duration_since(now))).is_err() {
+                // Only a broken poll set gets here; back off, don't spin.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Transient accept failures (EMFILE under flood): back off a
-            // beat instead of spinning or dying.
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // Connections first, while their poll slots still line up
+            // with `conns`; returns and accepts append behind them.
+            let now = Instant::now();
+            let polled = std::mem::take(&mut self.conns);
+            for (flow, fd) in polled.into_iter().zip(&fds[2..]) {
+                let flow = if fd.revents() != 0 {
+                    self.step(flow)
+                } else {
+                    Some(flow)
+                };
+                let kept = match flow {
+                    Some(f) if now >= deadline(&f) => self.expire(f),
+                    other => other,
+                };
+                self.conns.extend(kept);
+            }
+            if fds[0].revents() != 0 {
+                self.take_back();
+            }
+            if fds[1].revents() != 0 {
+                self.accept();
+            }
+        }
+        self.publish(0, 0);
+    }
+
+    fn publish(&mut self, heading: i64, idle: i64) {
+        let stats = &self.shared.shards[self.shard];
+        stats.triage_depth.add(heading - self.published.0);
+        stats.parked.add(idle - self.published.1);
+        self.published = (heading, idle);
+    }
+
+    /// A connection past its deadline: a head that never completed gets
+    /// its 408; a blown write window (the peer stopped reading) or an
+    /// idle keep-alive window closes silently — between requests there
+    /// is nothing to answer and nothing to log.
+    fn expire(&mut self, flow: Flow) -> Option<Flow> {
+        if flow.conn.has_pending_output() || flow.conn.is_idle() {
+            return None;
+        }
+        let started = flow.conn.request_started();
+        self.reject(flow, HeadError::TimedOut, started)
+    }
+
+    /// Act on a connection the poll reported ready.
+    fn step(&mut self, mut flow: Flow) -> Option<Flow> {
+        if flow.conn.has_pending_output() {
+            return match flow.conn.flush() {
+                Flush::Done => {
+                    flow.conn.rearm();
+                    self.drive(flow, true)
+                }
+                Flush::Pending => Some(flow),
+                Flush::Close => None,
+            };
+        }
+        let open = flow.conn.read_ready();
+        self.drive(flow, open)
+    }
+
+    /// Answer the heads buffered on `flow`, in order, until a response is
+    /// waiting for the socket, the connection has gone to a worker, or
+    /// no complete head is left. `open` is false once the peer has
+    /// stopped sending.
+    fn drive(&mut self, mut flow: Flow, open: bool) -> Option<Flow> {
+        loop {
+            let started = flow.conn.request_started();
+            let head = match flow.conn.next_head() {
+                Some(Ok(head)) => head,
+                Some(Err(err)) => return self.reject(flow, err, started),
+                None if open => return Some(flow),
+                None => {
+                    // A clean hangup between requests, or a head cut short.
+                    let err = if flow.conn.is_idle() {
+                        HeadError::Closed
+                    } else {
+                        HeadError::ConnectionLost
+                    };
+                    return self.reject(flow, err, started);
+                }
+            };
+            flow = self.answer(flow, head, started)?;
+            if flow.conn.has_pending_output() {
+                return Some(flow);
+            }
+        }
+    }
+
+    /// Answer one parsed head inline, or hand it to a worker.
+    fn answer(&mut self, flow: Flow, head: RequestHead, started: Instant) -> Option<Flow> {
+        let r = route(&head);
+        let handled = if r.is_fast_path() {
+            Handled {
+                response: fast_response(&self.shared, r),
+                reason: "-",
+            }
+        } else if r == Route::PostEvents {
+            match reject_write(&self.shared, &head) {
+                Some(rejected) => rejected,
+                None => return self.hand_off(flow, head, r, started),
+            }
+        } else {
+            match answer_from_cache(&self.shared, &head, r) {
+                Some(hit) => hit,
+                None => return self.hand_off(flow, head, r, started),
+            }
+        };
+        // A rejected write's body was never read: the connection cannot
+        // be reused.
+        let close = self.shared.closes_after(&head, r) || r == Route::PostEvents;
+        self.reply(flow, &head.method, &head.path, handled, close, started)
+    }
+
+    /// Queue a request for the shard's workers; a full queue sheds it
+    /// with a 503 + `Retry-After` instead.
+    fn hand_off(
+        &mut self,
+        flow: Flow,
+        head: RequestHead,
+        route: Route,
+        started: Instant,
+    ) -> Option<Flow> {
+        // Gauge up *before* the send: a worker's matching `sub` can run
+        // the instant the job lands, and a decrement racing ahead of
+        // this increment would show a negative depth in /v1/stats.
+        self.shared.shards[self.shard].work_depth.add(1);
+        let job = Job {
+            flow,
+            head,
+            route,
+            started,
+            queued: Instant::now(),
+        };
+        match self.work_tx.try_send(job) {
+            Ok(()) => {
+                self.lent += 1;
+                None
+            }
+            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                self.shared.shards[self.shard].work_depth.sub(1);
+                let Job { flow, head, .. } = job;
+                let shed = Handled {
+                    response: Response::shed("queue-full"),
+                    reason: "shed",
+                };
+                self.reply(flow, &head.method, &head.path, shed, true, started)
+            }
+        }
+    }
+
+    /// Answer a head that cannot be served — 408/431/400, or silence
+    /// when the peer is gone — and close.
+    fn reject(&mut self, flow: Flow, err: HeadError, started: Instant) -> Option<Flow> {
+        if err == HeadError::Closed {
+            return None;
+        }
+        self.shared.stats.bad_heads.fetch_add(1, Ordering::Relaxed);
+        let Some(status) = err.status() else {
+            self.shared
+                .finish(self.shard, "-", "-", 0, started, err.as_str());
+            return None;
+        };
+        let rejected = Handled {
+            response: Response::text(status, &format!("{}\n", err.as_str())),
+            reason: err.as_str(),
+        };
+        self.reply(flow, "-", "-", rejected, true, started)
+    }
+
+    /// Write a response nonblocking and log it; whatever the socket does
+    /// not take now waits for `POLLOUT` under the write deadline.
+    fn reply(
+        &mut self,
+        mut flow: Flow,
+        method: &str,
+        path: &str,
+        handled: Handled,
+        close: bool,
+        started: Instant,
+    ) -> Option<Flow> {
+        let flushed = flow.conn.send(&handled.response, close);
+        self.shared.finish(
+            self.shard,
+            method,
+            path,
+            handled.response.status,
+            started,
+            handled.reason,
+        );
+        flow.conn.served += 1;
+        match flushed {
+            Flush::Done => {
+                flow.conn.rearm();
+                Some(flow)
+            }
+            Flush::Pending => Some(flow),
+            Flush::Close => None,
+        }
+    }
+
+    /// Take back the connections workers have finished with, answering
+    /// any pipelined heads they already hold.
+    fn take_back(&mut self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+        while let Ok((mut flow, keep_alive)) = self.back_rx.try_recv() {
+            self.lent -= 1;
+            if keep_alive {
+                flow.conn.rearm();
+                let kept = self.drive(flow, true);
+                self.conns.extend(kept);
+            }
+        }
+    }
+
+    fn accept(&mut self) {
+        while let Some(listener) = &self.listener {
+            match listener.accept() {
+                Ok((stream, _peer)) => self.admit(stream),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn admit(&mut self, stream: TcpStream) {
+        self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        self.shared.in_flight.fetch_add(1, Ordering::Release);
+        // Every response leaves in one write, so Nagle's algorithm has
+        // nothing to coalesce: it only holds a pipelined response back
+        // until the peer acknowledges the one before it.
+        let _ = stream.set_nodelay(true);
+        let flow = Flow {
+            conn: Conn::new(stream),
+            _ticket: Ticket(Arc::clone(&self.shared)),
+        };
+        if flow.conn.set_blocking(false).is_err() || self.heading >= self.accept_backlog {
+            // The shard already holds its fill of heads still arriving:
+            // answer with a canned 503 without reading a byte, so the
+            // reject path costs nothing a flood can amplify. The answer
+            // fits any fresh socket's send buffer.
+            let _ = flow.conn.stream().write(RAW_SHED_503);
+            self.shared
+                .finish(self.shard, "-", "-", 503, flow.conn.accepted, "shed");
+            return;
+        }
+        self.heading += 1;
+        self.conns.push(flow);
+    }
+}
+
+fn worker_loop(
+    shared: &Arc<Shared>,
+    shard: usize,
+    rx: &Mutex<Receiver<Job>>,
+    back: &Sender<Returned>,
+    waker: &UnixStream,
+) {
+    let _threads = CountGuard(&shared.live_threads);
+    let mut policy = HandlerPolicy {
+        retries: shared.retries,
+        deadline: None,
+        chaos: shared.chaos.clone(),
+    };
+    loop {
+        // The lock is held only while dequeuing, never across socket
+        // I/O. The loop owns the only sender: once it has exited and the
+        // queue is empty, `recv` fails and the worker exits.
+        let job = match rx.lock() {
+            Ok(rx) => rx.recv(),
+            Err(_) => return,
+        };
+        let Ok(job) = job else { return };
+        shared.shards[shard].work_depth.sub(1);
+        osn_obs::histogram!("http.queue_wait_us").record_duration(job.queued.elapsed());
+        // Back to the loop either way: it keeps the count of connections
+        // out with workers, and closes the ones that do not stay open.
+        if back.send(work_one(shared, shard, job, &mut policy)).is_ok() {
+            wake(waker);
         }
     }
 }
 
-fn raw_shed(mut stream: &TcpStream) -> io::Result<()> {
-    stream.write_all(RAW_SHED_503)
+/// Answer one queued request with blocking I/O: a cache miss rendered
+/// under the supervisor, or an admitted write whose body is read here.
+fn work_one(shared: &Shared, shard: usize, job: Job, policy: &mut HandlerPolicy) -> Returned {
+    let Job {
+        mut flow,
+        head,
+        route,
+        started,
+        ..
+    } = job;
+    if flow.conn.set_blocking(true).is_err() {
+        return (flow, false);
+    }
+    let (handled, body_consumed) = match (route, &shared.write) {
+        (Route::PostEvents, Some(write)) => {
+            let handled =
+                write.handle_post(&mut flow.conn, &head, started + shared.request_timeout);
+            // Only a 2xx proves the body was consumed in full.
+            let consumed = handled.response.status < 300;
+            (handled, consumed)
+        }
+        // Unreachable: the loop admits writes only with a write plane.
+        (Route::PostEvents, None) => (
+            Handled {
+                response: Response::text(403, "write plane disabled\n"),
+                reason: "denied",
+            },
+            false,
+        ),
+        _ => match shared.request_timeout.checked_sub(started.elapsed()) {
+            // The request's whole budget evaporated in the queue: shed
+            // it now instead of doing work nobody is waiting for.
+            None => (
+                Handled {
+                    response: Response::shed("expired-in-queue"),
+                    reason: "timed-out",
+                },
+                true,
+            ),
+            Some(budget) => {
+                policy.deadline = Some(budget);
+                (handle_data(shared, route, &head, policy), true)
+            }
+        },
+    };
+    let close = !body_consumed || shared.closes_after(&head, route);
+    let write_ok = flow
+        .conn
+        .write_response(&handled.response, WRITE_TIMEOUT, close)
+        .is_ok();
+    shared.finish(
+        shard,
+        &head.method,
+        &head.path,
+        handled.response.status,
+        started,
+        handled.reason,
+    );
+    flow.conn.served += 1;
+    let keep_alive = write_ok && !close && flow.conn.set_blocking(false).is_ok();
+    (flow, keep_alive)
 }
 
 /// `503` for data requests that arrive before the live head has
@@ -764,91 +1084,99 @@ fn fast_response(shared: &Shared, r: Route) -> Response {
     }
 }
 
-/// What to do with the connection after a response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Disposition {
-    KeepAlive,
-    Close,
-}
-
-/// Answer a head-read failure. Returns `Close` always; `HeadError::
-/// Closed` (clean keep-alive hangup) is silent, everything else gets a
-/// best-effort response plus an access line.
-fn fail_head(shared: &Shared, shard: usize, flow: &mut Flow, err: HeadError, since: Instant) {
-    if err == HeadError::Closed {
-        return;
-    }
-    shared.stats.bad_heads.fetch_add(1, Ordering::Relaxed);
-    let status = match err {
-        HeadError::TimedOut => Some(408),
-        HeadError::TooLarge => Some(431),
-        HeadError::Malformed => Some(400),
-        // Peer vanished: nobody is listening for a response.
-        HeadError::ConnectionLost | HeadError::Closed => None,
+/// Write admission, run on the loop before a write can hold a queue slot
+/// or a worker: the write plane's auth, rate budget and fsync/lag valves
+/// are all cheap header-only checks, and rejecting here keeps a write
+/// flood from starving queued reads. `None` admits the request.
+fn reject_write(shared: &Shared, head: &RequestHead) -> Option<Handled> {
+    let response = match &shared.write {
+        None => Response::text(403, "write plane disabled (start with --accept-writes)\n"),
+        Some(w) => w.admit(head, &shared.live)?,
     };
-    if let Some(status) = status {
-        let resp = Response::text(status, &format!("{}\n", err.as_str()));
-        let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
-    }
-    shared.finish(shard, "-", "-", status.unwrap_or(0), since, err.as_str());
+    let reason = match response.status {
+        429 | 503 => "shed",
+        _ => "denied",
+    };
+    Some(Handled { response, reason })
 }
 
-/// Serve one cacheable data route, consulting the hot-day cache when a
-/// consistent (generation-stable) snapshot view is available.
-fn handle_data(
-    shared: &Shared,
-    head: &RequestHead,
-    route: Route,
-    policy: &HandlerPolicy,
-) -> crate::handlers::Handled {
-    // Read the generation on both sides of the snapshot fetch: equal
-    // means the Arc belongs to that generation and cache entries may be
-    // keyed to it; unequal means a publish raced us, so skip the cache
-    // for this request rather than risk filing a body under the wrong
-    // generation.
+/// The cache key of a data route.
+fn cache_key(route: Route) -> (CacheKind, u32) {
+    match route {
+        Route::Days => (CacheKind::Days, 0),
+        Route::Metrics(day) => (CacheKind::Metrics, day),
+        Route::Communities(day) => (CacheKind::Communities, day),
+        other => unreachable!("non-data route {other:?}"),
+    }
+}
+
+/// A consistent snapshot view: the query plus its publish generation
+/// when no publish raced the fetch. The generation is read on both sides
+/// of the fetch: equal means the `Arc` belongs to that generation and
+/// cache entries may be keyed to it; unequal means skip the cache for
+/// this request rather than risk filing a body under the wrong
+/// generation.
+fn snapshot(shared: &Shared) -> (Option<Arc<SnapshotQuery>>, Option<u64>) {
     let g1 = shared.live.generation();
     let query = shared.live.get();
-    let generation = (shared.live.generation() == g1).then_some(g1);
+    (query, (shared.live.generation() == g1).then_some(g1))
+}
+
+/// Answer a data route without a worker when that costs no handler
+/// work: a response-cache hit, or the not-ready 503 before the first
+/// publish. `None` sends the request to the work queue.
+fn answer_from_cache(shared: &Shared, head: &RequestHead, route: Route) -> Option<Handled> {
+    let (query, generation) = snapshot(shared);
     let Some(query) = query else {
-        return crate::handlers::Handled {
+        return Some(Handled {
+            response: not_ready_response(shared),
+            reason: "not-ready",
+        });
+    };
+    let cache = shared.cache.as_ref()?;
+    let (kind, day) = cache_key(route);
+    // Days strictly below the latest published day are immutable
+    // history: entries for them survive publishes.
+    let frozen_below = query.meta().num_days.saturating_sub(1);
+    let hit = cache.lookup(kind, day, generation?, frozen_below)?;
+    let content_type = match kind {
+        CacheKind::Days => "application/json",
+        _ => "text/csv; charset=utf-8",
+    };
+    Some(Handled {
+        response: cached_response(content_type, hit, head.accept_gzip),
+        reason: "-",
+    })
+}
+
+/// Render a data route the cache could not answer, under the
+/// supervisor, and file a successful body in the cache.
+fn handle_data(
+    shared: &Shared,
+    route: Route,
+    head: &RequestHead,
+    policy: &HandlerPolicy,
+) -> Handled {
+    let (query, generation) = snapshot(shared);
+    let Some(query) = query else {
+        return Handled {
             response: not_ready_response(shared),
             reason: "not-ready",
         };
     };
-    let (kind, day) = match route {
-        Route::Days => (CacheKind::Days, 0),
-        Route::Metrics(day) => (CacheKind::Metrics, day),
-        Route::Communities(day) => (CacheKind::Communities, day),
-        other => unreachable!("non-data route {other:?} in handle_data"),
-    };
-    let cache = shared.cache.as_ref().zip(generation);
-    if let Some((cache, generation)) = cache {
-        // Days strictly below the latest published day are immutable
-        // history: entries for them survive publishes.
-        let frozen_below = query.meta().num_days.saturating_sub(1);
-        if let Some(hit) = cache.lookup(kind, day, generation, frozen_below) {
-            let content_type = match kind {
-                CacheKind::Days => "application/json",
-                _ => "text/csv; charset=utf-8",
-            };
-            return crate::handlers::Handled {
-                response: cached_response(content_type, hit, head.accept_gzip),
-                reason: "-",
-            };
-        }
-    }
     let mut handled = handle(&query, route, policy);
-    if handled.response.status == 200 {
-        if let Some((cache, generation)) = cache {
-            let content_type = handled.response.content_type;
-            let body = std::mem::replace(
-                &mut handled.response.body,
-                crate::http::Body::Owned(Vec::new()),
-            )
-            .into_vec();
-            let stored = cache.store(kind, day, generation, body);
-            handled.response = cached_response(content_type, stored, head.accept_gzip);
-        }
+    if let (200, Some(cache), Some(generation)) =
+        (handled.response.status, &shared.cache, generation)
+    {
+        let (kind, day) = cache_key(route);
+        let content_type = handled.response.content_type;
+        let body = std::mem::replace(
+            &mut handled.response.body,
+            crate::http::Body::Owned(Vec::new()),
+        )
+        .into_vec();
+        let stored = cache.store(kind, day, generation, body);
+        handled.response = cached_response(content_type, stored, head.accept_gzip);
     }
     handled
 }
@@ -863,557 +1191,4 @@ fn cached_response(
     } else {
         Response::cached(content_type, body.plain, false)
     }
-}
-
-/// Fully answer one parsed request on a worker (or a triage/worker
-/// continuation): fast path, write plane (with inline admission when the
-/// request did not pass triage), or cached/supervised data handling.
-/// Writes the response and the access line; returns the keep-alive
-/// verdict.
-#[allow(clippy::too_many_arguments)]
-fn respond(
-    shared: &Shared,
-    shard: usize,
-    flow: &mut Flow,
-    head: &RequestHead,
-    route: Route,
-    started: Instant,
-    admitted: bool,
-    policy: &mut HandlerPolicy,
-) -> Disposition {
-    let (handled, mut disposition) = if route.is_fast_path() {
-        (
-            crate::handlers::Handled {
-                response: fast_response(shared, route),
-                reason: "-",
-            },
-            Disposition::KeepAlive,
-        )
-    } else if matches!(route, Route::PostEvents) {
-        let rejection = if admitted {
-            None
-        } else {
-            match &shared.write {
-                None => Some((
-                    Response::text(403, "write plane disabled (start with --accept-writes)\n"),
-                    "denied",
-                )),
-                Some(w) => w.admit(head, &shared.live).map(|resp| {
-                    let reason = match resp.status {
-                        429 | 503 => "shed",
-                        _ => "denied",
-                    };
-                    (resp, reason)
-                }),
-            }
-        };
-        match rejection {
-            // The body was never read: the connection cannot be reused
-            // (the unread body would be parsed as the next head).
-            Some((response, reason)) => (
-                crate::handlers::Handled { response, reason },
-                Disposition::Close,
-            ),
-            None => match &shared.write {
-                Some(write) => {
-                    let handled =
-                        write.handle_post(&mut flow.conn, head, started + shared.request_timeout);
-                    // Only a 2xx proves the body was consumed in full.
-                    let disp = if handled.response.status < 300 {
-                        Disposition::KeepAlive
-                    } else {
-                        Disposition::Close
-                    };
-                    (handled, disp)
-                }
-                // Unreachable when admitted (triage only admits with a
-                // write plane); kept for defence in depth.
-                None => (
-                    crate::handlers::Handled {
-                        response: Response::text(403, "write plane disabled\n"),
-                        reason: "denied",
-                    },
-                    Disposition::Close,
-                ),
-            },
-        }
-    } else {
-        let waited = started.elapsed();
-        match shared.request_timeout.checked_sub(waited) {
-            // The request's whole budget evaporated in the queue: shed
-            // it now instead of doing work nobody is waiting for.
-            None => (
-                crate::handlers::Handled {
-                    response: Response::shed("expired-in-queue"),
-                    reason: "timed-out",
-                },
-                Disposition::KeepAlive,
-            ),
-            Some(budget) => {
-                policy.deadline = Some(budget);
-                (
-                    handle_data(shared, head, route, policy),
-                    Disposition::KeepAlive,
-                )
-            }
-        }
-    };
-    if head.wants_close {
-        disposition = Disposition::Close;
-    }
-    // A request body only ever gets consumed on the write-plane path; a
-    // body on any other route is left sitting in the socket, where it
-    // would be parsed as the next request head. Close instead.
-    if head.content_length.unwrap_or(0) > 0 && !matches!(route, Route::PostEvents) {
-        disposition = Disposition::Close;
-    }
-    let status = handled.response.status;
-    let close = disposition == Disposition::Close;
-    let write_ok = flow
-        .conn
-        .write_response(&handled.response, WRITE_TIMEOUT, close)
-        .is_ok();
-    shared.finish(
-        shard,
-        &head.method,
-        &head.path,
-        status,
-        started,
-        handled.reason,
-    );
-    flow.conn.served += 1;
-    if !write_ok {
-        return Disposition::Close;
-    }
-    disposition
-}
-
-/// After a response on a kept-alive connection: answer already-buffered
-/// pipelined requests inline (in order, same thread — responses can
-/// never interleave), linger briefly for the next one, then park or
-/// recycle. `fast_only` is the triage variant: data routes are queued
-/// rather than handled inline.
-#[allow(clippy::too_many_arguments)]
-fn continue_conn(
-    shared: &Shared,
-    shard: usize,
-    mut flow: Flow,
-    chans: &ShardChannels,
-    burst_limit: u64,
-    fast_only: bool,
-    policy: &mut HandlerPolicy,
-) {
-    let mut burst: u64 = 0;
-    loop {
-        if shared.shutting_down() {
-            // Drain: the current response is out; close instead of
-            // waiting for a next request that may never come.
-            return;
-        }
-        burst += 1;
-        if burst >= burst_limit {
-            recycle_or_park(shared, shard, flow, chans);
-            return;
-        }
-        if !flow.conn.head_ready() {
-            match flow.conn.await_request(WORKER_LINGER) {
-                ConnProgress::HeadReady => {}
-                ConnProgress::Closed => return,
-                ConnProgress::Idle => {
-                    park(flow, chans);
-                    return;
-                }
-            }
-        }
-        let started = Instant::now();
-        let head = match flow.conn.read_head(shared.header_timeout) {
-            Ok(head) => head,
-            Err(err) => {
-                fail_head(shared, shard, &mut flow, err, started);
-                return;
-            }
-        };
-        let r = route(&head);
-        if fast_only && !r.is_fast_path() {
-            // Triage continuation met a data request: admission +
-            // enqueue exactly like a fresh parse.
-            enqueue_work(shared, shard, flow, head, r, started, chans);
-            return;
-        }
-        match respond(shared, shard, &mut flow, &head, r, started, false, policy) {
-            Disposition::Close => return,
-            Disposition::KeepAlive => {}
-        }
-    }
-}
-
-/// Hand a kept-alive connection to its shard parker (never with
-/// buffered bytes — the parker only wakes on *new* socket readability).
-/// A failed send means the parker is draining; the connection closes.
-fn park(flow: Flow, chans: &ShardChannels) {
-    debug_assert!(!flow.conn.has_buffered());
-    let _ = chans.park_tx.send(flow);
-}
-
-/// Re-queue a connection with a pipelined request already buffered
-/// through triage, giving other connections a turn.
-fn recycle_or_park(shared: &Shared, shard: usize, mut flow: Flow, chans: &ShardChannels) {
-    if !flow.conn.has_buffered() {
-        park(flow, chans);
-        return;
-    }
-    flow.conn.rearm();
-    // add-before-send: see the acceptor's gauge ordering note.
-    shared.shards[shard].triage_depth.add(1);
-    match chans.triage_tx.try_send(flow) {
-        Ok(()) => {}
-        Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-            shared.shards[shard].triage_depth.sub(1);
-            let resp = Response::shed("recycle-queue-full");
-            let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-        }
-    }
-}
-
-/// Write admission + work-queue handoff for one parsed data request.
-fn enqueue_work(
-    shared: &Shared,
-    shard: usize,
-    mut flow: Flow,
-    head: RequestHead,
-    r: Route,
-    started: Instant,
-    chans: &ShardChannels,
-) {
-    // Write admission runs before the request can hold a queue slot or
-    // a worker: auth, rate budget, and the fsync/lag valves are all
-    // cheap header-only checks, and rejecting here keeps a write flood
-    // from starving queued reads.
-    if matches!(r, Route::PostEvents) {
-        let rejection = match &shared.write {
-            None => Some(Response::text(
-                403,
-                "write plane disabled (start with --accept-writes)\n",
-            )),
-            Some(w) => w.admit(&head, &shared.live),
-        };
-        if let Some(resp) = rejection {
-            let status = resp.status;
-            let reason = match status {
-                429 | 503 => "shed",
-                _ => "denied",
-            };
-            // Body unread: the connection cannot be reused.
-            let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, &head.method, &head.path, status, started, reason);
-            return;
-        }
-    }
-    // add-before-send: see the acceptor's gauge ordering note.
-    shared.shards[shard].work_depth.add(1);
-    match chans.work_tx.try_send(Job {
-        flow,
-        head,
-        route: r,
-        started,
-    }) {
-        Ok(()) => {}
-        Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-            shared.shards[shard].work_depth.sub(1);
-            let Job { mut flow, head, .. } = job;
-            let resp = Response::shed("queue-full");
-            let _ = flow.conn.write_response(&resp, WRITE_TIMEOUT, true);
-            shared.finish(shard, &head.method, &head.path, 503, started, "shed");
-        }
-    }
-}
-
-fn triage_loop(
-    shared: &Arc<Shared>,
-    shard: usize,
-    rx: &Mutex<Receiver<Flow>>,
-    chans: &ShardChannels,
-) {
-    let _threads = CountGuard(&shared.live_threads);
-    let _triage = CountGuard(&shared.triage_live);
-    let mut policy = HandlerPolicy {
-        retries: shared.retries,
-        deadline: None,
-        chaos: shared.chaos.clone(),
-    };
-    loop {
-        // Hold the lock only for the dequeue, never across socket I/O.
-        let flow = match rx.lock() {
-            Ok(rx) => rx.recv_timeout(STAGE_TICK),
-            Err(_) => return,
-        };
-        let mut flow = match flow {
-            Ok(flow) => flow,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() {
-                    // Acceptors are gone; drain the stragglers and exit.
-                    loop {
-                        let flow = match rx.lock() {
-                            Ok(rx) => rx.try_recv(),
-                            Err(_) => return,
-                        };
-                        match flow {
-                            Ok(flow) => triage_one(shared, shard, flow, chans, &mut policy),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        shared.shards[shard].triage_depth.sub(1);
-        // Fresh connections anchor their header window at accept; woken
-        // and recycled ones were re-armed by whoever sent them here.
-        let started = if flow.conn.served == 0 {
-            flow.conn.accepted
-        } else {
-            Instant::now()
-        };
-        match flow.conn.read_head(shared.header_timeout) {
-            Err(err) => fail_head(shared, shard, &mut flow, err, started),
-            Ok(head) => triage_route(shared, shard, flow, head, started, chans, &mut policy),
-        }
-    }
-}
-
-fn triage_one(
-    shared: &Arc<Shared>,
-    shard: usize,
-    mut flow: Flow,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    shared.shards[shard].triage_depth.sub(1);
-    let started = if flow.conn.served == 0 {
-        flow.conn.accepted
-    } else {
-        Instant::now()
-    };
-    match flow.conn.read_head(shared.header_timeout) {
-        Err(err) => fail_head(shared, shard, &mut flow, err, started),
-        Ok(head) => triage_route(shared, shard, flow, head, started, chans, policy),
-    }
-}
-
-fn triage_route(
-    shared: &Shared,
-    shard: usize,
-    mut flow: Flow,
-    head: RequestHead,
-    started: Instant,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    let r = route(&head);
-    if r.is_fast_path() {
-        match respond(shared, shard, &mut flow, &head, r, started, false, policy) {
-            Disposition::Close => {}
-            Disposition::KeepAlive => {
-                continue_conn(shared, shard, flow, chans, TRIAGE_BURST, true, policy)
-            }
-        }
-    } else {
-        enqueue_work(shared, shard, flow, head, r, started, chans);
-    }
-}
-
-fn worker_loop(
-    shared: &Arc<Shared>,
-    shard: usize,
-    rx: &Mutex<Receiver<Job>>,
-    chans: &ShardChannels,
-) {
-    let _threads = CountGuard(&shared.live_threads);
-    let mut policy = HandlerPolicy {
-        retries: shared.retries,
-        deadline: None,
-        chaos: shared.chaos.clone(),
-    };
-    loop {
-        let job = match rx.lock() {
-            Ok(rx) => rx.recv_timeout(STAGE_TICK),
-            Err(_) => return,
-        };
-        let job = match job {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() && shared.triage_live.load(Ordering::Acquire) == 0 {
-                    // Nothing can feed this queue anymore; drain it.
-                    loop {
-                        let job = match rx.lock() {
-                            Ok(rx) => rx.try_recv(),
-                            Err(_) => return,
-                        };
-                        match job {
-                            Ok(job) => work_one(shared, shard, job, chans, &mut policy),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        work_one(shared, shard, job, chans, &mut policy);
-    }
-}
-
-fn work_one(
-    shared: &Shared,
-    shard: usize,
-    job: Job,
-    chans: &ShardChannels,
-    policy: &mut HandlerPolicy,
-) {
-    let Job {
-        mut flow,
-        head,
-        route,
-        started,
-    } = job;
-    shared.shards[shard].work_depth.sub(1);
-    match respond(
-        shared, shard, &mut flow, &head, route, started, true, policy,
-    ) {
-        Disposition::Close => {}
-        Disposition::KeepAlive => {
-            continue_conn(shared, shard, flow, chans, WORKER_BURST, false, policy)
-        }
-    }
-}
-
-/// One parked keep-alive connection.
-struct Parked {
-    flow: Flow,
-    since: Instant,
-}
-
-fn parker_loop(shared: &Arc<Shared>, shard: usize, rx: &Receiver<Flow>, chans: &ShardChannels) {
-    let _threads = CountGuard(&shared.live_threads);
-    let mut parked: Vec<Parked> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        if shared.shutting_down() {
-            // Idle connections have no in-flight request; drain closes
-            // them immediately.
-            shared.shards[shard].parked.sub(parked.len() as i64);
-            return;
-        }
-        // Intake: block briefly when idle, otherwise just sweep up
-        // whatever accumulated while polling.
-        if parked.is_empty() && !disconnected {
-            match rx.recv_timeout(STAGE_TICK) {
-                Ok(flow) => admit_parked(shared, shard, flow, &mut parked, chans),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-        }
-        while let Ok(flow) = rx.try_recv() {
-            admit_parked(shared, shard, flow, &mut parked, chans);
-        }
-        if parked.is_empty() {
-            if disconnected {
-                return;
-            }
-            continue;
-        }
-        // Readiness sweep: wake anything readable (or hung up) back
-        // into triage with a fresh header window.
-        for idx in sweep_ready(&parked).into_iter().rev() {
-            let mut entry = parked.swap_remove(idx);
-            shared.shards[shard].parked.sub(1);
-            entry.flow.conn.rearm();
-            // add-before-send: see the acceptor's gauge ordering note.
-            shared.shards[shard].triage_depth.add(1);
-            match chans.triage_tx.try_send(entry.flow) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-                    shared.shards[shard].triage_depth.sub(1);
-                    let resp = Response::shed("wake-queue-full");
-                    let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-                    shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-                }
-            }
-        }
-        // Cull idlers past the keep-alive window (silent close: between
-        // requests there is nothing to answer and nothing to log).
-        let keepalive = shared.keepalive_timeout;
-        let before = parked.len();
-        parked.retain(|p| p.since.elapsed() < keepalive);
-        let culled = before - parked.len();
-        if culled > 0 {
-            shared.shards[shard].parked.sub(culled as i64);
-        }
-    }
-}
-
-fn admit_parked(
-    shared: &Shared,
-    shard: usize,
-    flow: Flow,
-    parked: &mut Vec<Parked>,
-    chans: &ShardChannels,
-) {
-    if flow.conn.has_buffered() {
-        // Never park buffered bytes — the poll sweep only sees *new*
-        // socket data. Straight back to triage (add-before-send: see
-        // the acceptor's gauge ordering note).
-        shared.shards[shard].triage_depth.add(1);
-        match chans.triage_tx.try_send(flow) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut f) | TrySendError::Disconnected(mut f)) => {
-                shared.shards[shard].triage_depth.sub(1);
-                let resp = Response::shed("wake-queue-full");
-                let _ = f.conn.write_response(&resp, WRITE_TIMEOUT, true);
-                shared.finish(shard, "-", "-", 503, Instant::now(), "shed");
-            }
-        }
-        return;
-    }
-    shared.shards[shard].parked.add(1);
-    parked.push(Parked {
-        flow,
-        since: Instant::now(),
-    });
-}
-
-/// Indices of parked connections with pending socket data (or a hangup).
-#[cfg(unix)]
-fn sweep_ready(parked: &[Parked]) -> Vec<usize> {
-    use std::os::fd::AsRawFd;
-    let fds: Vec<i32> = parked
-        .iter()
-        .map(|p| p.flow.conn.stream().as_raw_fd())
-        .collect();
-    crate::net::poll_readable(&fds, 5).unwrap_or_default()
-}
-
-#[cfg(not(unix))]
-fn sweep_ready(parked: &[Parked]) -> Vec<usize> {
-    // No poll(2): a nonblocking 1-byte peek per connection, plus a nap
-    // to keep the sweep from spinning.
-    std::thread::sleep(Duration::from_millis(5));
-    let mut ready = Vec::new();
-    for (i, p) in parked.iter().enumerate() {
-        let stream = p.flow.conn.stream();
-        if stream.set_nonblocking(true).is_err() {
-            ready.push(i);
-            continue;
-        }
-        let mut byte = [0u8; 1];
-        match stream.peek(&mut byte) {
-            Ok(_) => ready.push(i),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(_) => ready.push(i),
-        }
-        let _ = stream.set_nonblocking(false);
-    }
-    ready
 }

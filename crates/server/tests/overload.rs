@@ -818,3 +818,99 @@ fn idle_keep_alive_connections_park_wake_and_cull() {
     server.request_shutdown();
     assert!(server.join().clean());
 }
+
+#[test]
+fn a_closed_loop_client_cannot_starve_a_second_connection() {
+    use osn_graph::testutil::HttpClient;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let server = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr().to_string();
+    let day = query().metric_days()[0];
+    let path = format!("/v1/metrics/{day}");
+    // Prime the response cache, so every request below is a hit.
+    assert_eq!(http_get(&addr, &path, CLIENT_TIMEOUT).unwrap().status, 200);
+
+    // B connects up front, so its accept is not part of what is timed.
+    let mut b = HttpClient::connect(&addr).unwrap();
+    let answered = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let a = {
+        let (addr, path) = (addr.clone(), path.clone());
+        let (answered, stop) = (Arc::clone(&answered), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut a = HttpClient::connect(&addr).unwrap();
+            while !stop.load(Ordering::Acquire) {
+                assert_eq!(a.get(&path, CLIENT_TIMEOUT).unwrap().status, 200);
+                answered.fetch_add(1, Ordering::AcqRel);
+            }
+        })
+    };
+    while answered.load(Ordering::Acquire) < 2 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let before = answered.load(Ordering::Acquire);
+    let resp = b.get(&path, CLIENT_TIMEOUT).unwrap();
+    let a_during_b = answered.load(Ordering::Acquire) - before;
+    stop.store(true, Ordering::Release);
+    a.join().unwrap();
+
+    assert_eq!(resp.status, 200);
+    assert!(
+        a_during_b < 16,
+        "A got {a_during_b} responses while B waited for one"
+    );
+    drop(b);
+    server.request_shutdown();
+    assert!(server.join().clean());
+}
+
+#[test]
+fn slow_peers_do_not_delay_a_fresh_probe() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // Default header timeout (2 s): the drippers below stay well inside
+    // it for the whole test, so nothing cuts them loose early.
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let drippers: Vec<_> = (0..4)
+        .map(|_| {
+            let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut s = std::net::TcpStream::connect(&addr).unwrap();
+                let mut script = b"GET /v1/days HTTP/1.1\r\n".to_vec();
+                script.resize(4096, b'a');
+                for &byte in &script {
+                    if stop.load(Ordering::Acquire) || s.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        })
+        .collect();
+    // Let every slow head get under way before probing.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let started = Instant::now();
+    let resp = http_get(&addr, "/healthz", CLIENT_TIMEOUT).unwrap();
+    let took = started.elapsed();
+    stop.store(true, Ordering::Release);
+    for d in drippers {
+        d.join().unwrap();
+    }
+
+    assert_eq!(resp.status, 200);
+    assert!(
+        took < Duration::from_millis(250),
+        "/healthz took {took:?} behind four slow peers"
+    );
+    server.request_shutdown();
+    assert!(server.join().clean());
+}
