@@ -4,25 +4,48 @@
 //! tails an append-only v2 trace with [`osn_graph::TailReader`] (torn
 //! tails are pending, mid-file corruption quarantines per policy),
 //! accumulates the committed events, and — each time a new *complete*
-//! day becomes final — rebuilds the analysis over that day-prefix and
+//! day becomes final — extends the analysis to that day-prefix and
 //! publishes the resulting [`SnapshotQuery`] into a shared [`LiveQuery`]
 //! behind an atomic `Arc` swap. Query workers clone the `Arc` per
 //! request, so every request sees one internally consistent snapshot
 //! and the head never blocks the serving plane.
+//!
+//! ## Incremental publishes
+//!
+//! The head keeps its build state between publishes: the event
+//! validator (the [`EventLogBuilder`] rules of
+//! [`osn_graph::check_event`]), one evolving graph with its incremental
+//! metric state ([`LiveEngine`], the core of the batch sweep's
+//! `EngineState`), one [`CommunityTracker`], the running trace
+//! fingerprint and the accumulated rows with their rendered CSVs. A
+//! publish validates only the events committed since the last one,
+//! computes only the snapshot days they complete, and appends their
+//! lines, so its computation is proportional to the new days, not to
+//! the history; only the copy of the rows and CSV text into the new
+//! snapshot still grows with the row count. The prefix it publishes
+//! ends at the first event past the final day (a linear scan, since the
+//! stream need not be in time order), so no row is computed before all
+//! of its day's events are in. Every row is computed by the same
+//! per-day code as the batch sweep, on a graph holding exactly the
+//! events through that day, with the day-derived sampler seed; the
+//! tracker is causal. A publish-by-publish differential test holds the
+//! published bytes equal to [`SnapshotQuery::build`] over the same
+//! prefix. Follow snapshots therefore report the incremental engine
+//! whatever `--engine` says.
 //!
 //! ## Staleness model
 //!
 //! A day is *final* once a later-day event (or the `#%end` footer) has
 //! been committed — until then its events may still be arriving, so the
 //! newest publishable prefix is always `day(last committed event) - 1`.
-//! Once the footer verifies, the full log is published; because that
-//! final publish runs the very same [`SnapshotQuery::build`] over the
-//! very same completed [`EventLog`] a batch run would load, follow-mode
-//! final state is **byte-identical to batch replay by construction**.
+//! Once the footer verifies, the full log is published, byte-identical
+//! to what a batch run over the completed trace serves.
 //! [`LiveQuery::head_json`] reports the published day, applied event
 //! count, ingest lag (committed-but-unpublished events, uncommitted
 //! tail bytes) and health, so clients can bound the staleness of any
-//! answer.
+//! answer. Between polls the head waits on [`LiveQuery::notify_appended`],
+//! so a write accepted in-process is picked up at once; appends by other
+//! processes are seen at the next poll.
 //!
 //! ## Crash resume
 //!
@@ -40,25 +63,30 @@
 //! ## Degradation
 //!
 //! The publish step runs under [`osn_metrics::supervisor`] panic
-//! isolation with deterministic retries. If a build fails, the tailed
+//! isolation with deterministic retries. A failed attempt discards the
+//! carried build state; the next attempt rebuilds it from the retained
+//! events in one catch-up build. If a build fails, the tailed
 //! file disappears, ingest stops committing for longer than the
 //! watchdog, or the stream turns out corrupt under `Strict`, queries
 //! keep being answered from the last published snapshot with
 //! [`IngestHealth`] (`wedged` / `missing`) and staleness reported —
 //! the serving plane never turns ingest trouble into 500s.
 
-use crate::query::{SnapshotQuery, SnapshotQueryConfig};
+use crate::network::{day_row, snapshot_days};
+use crate::query::{CommunityRow, MetricsRow, SnapshotQuery, SnapshotQueryConfig, TraceMeta};
+use osn_community::CommunityTracker;
 use osn_graph::atomicfile::write_bytes_atomic;
 use osn_graph::{
-    Day, EventLog, EventLogBuilder, RecoveryPolicy, ReplayCheckpoint, TailError, TailEvent,
-    TailReader, Time,
+    check_event, Day, Event, EventFingerprint, EventLog, EventLogBuilder, LogError, NodeId,
+    RecoveryPolicy, ReplayCheckpoint, TailError, TailEvent, TailReader, Time,
 };
-use osn_metrics::supervisor::{supervised_call, RunPolicy, TaskError};
+use osn_metrics::engine::{day_sweep, EngineConfig, EngineKind, LiveEngine};
+use osn_metrics::supervisor::{supervised_call, RunPolicy, TaskError, TaskFailure};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Ingest health as reported by `/v1/head`.
@@ -128,6 +156,10 @@ pub struct LiveQuery {
     /// mutable published day (and the day list) to this, so a publish
     /// invalidates exactly what it can have changed.
     generation: AtomicU64,
+    /// Count of [`LiveQuery::notify_appended`] calls; the head waits on
+    /// `appended_cv` for it to move between polls.
+    appended: Mutex<u64>,
+    appended_cv: Condvar,
 }
 
 impl LiveQuery {
@@ -147,6 +179,8 @@ impl LiveQuery {
             last_publish_ms: AtomicU64::new(0),
             resumed_from: AtomicU32::new(RESUMED_NONE),
             generation: AtomicU64::new(0),
+            appended: Mutex::new(0),
+            appended_cv: Condvar::new(),
         }
     }
 
@@ -262,6 +296,36 @@ impl LiveQuery {
 
     fn set_resumed(&self, day: Day) {
         self.resumed_from.store(day, Ordering::Relaxed);
+    }
+
+    /// Wake the follow head now rather than at its next poll: a writer in
+    /// this process has just appended a batch to the tailed trace (and
+    /// applied it, so the head's next poll sees it).
+    pub fn notify_appended(&self) {
+        *self.appended.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.appended_cv.notify_all();
+    }
+
+    fn appends_notified(&self) -> u64 {
+        *self.appended.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wait up to `timeout` for an append notified after `seen` was read,
+    /// checking `shutdown` at least every 10 ms.
+    fn wait_for_append(&self, seen: u64, timeout: Duration, shutdown: &AtomicBool) {
+        let deadline = Instant::now() + timeout;
+        let mut notified = self.appended.lock().unwrap_or_else(|e| e.into_inner());
+        while *notified == seen && !shutdown.load(Ordering::Acquire) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let slice = left.min(Duration::from_millis(10));
+            notified = match self.appended_cv.wait_timeout(notified, slice) {
+                Ok((guard, _)) => guard,
+                Err(e) => e.into_inner().0,
+            };
+        }
     }
 
     /// `/v1/head` body: one JSON line with the published day, applied
@@ -434,6 +498,237 @@ fn build_prefix(
     Ok((b.build(), skipped))
 }
 
+/// The follow head's build state, carried from one publish to the next:
+/// everything [`SnapshotQuery::build`] would derive from the published
+/// prefix, kept so the next publish only consumes the events after it.
+struct LiveBuild {
+    /// Committed events consumed so far, accepted or skipped.
+    pos: usize,
+    /// The validator's time watermark (see [`check_event`]).
+    watermark: Time,
+    /// Events consumed so far that the policy skipped.
+    skipped: u64,
+    engine: LiveEngine,
+    fingerprint: EventFingerprint,
+    /// Day of the last accepted event (0 before any, as for an empty
+    /// [`EventLog`]).
+    end_day: Day,
+    tracker: CommunityTracker,
+    metric_rows: Vec<MetricsRow>,
+    community_rows: Vec<CommunityRow>,
+    metrics_csv: String,
+    communities_csv: String,
+}
+
+/// Day `k` of the grid `first, first + stride, …`, widened so it cannot
+/// overflow.
+fn grid_day(first: Day, stride: Day, k: usize) -> u64 {
+    first as u64 + k as u64 * stride as u64
+}
+
+impl LiveBuild {
+    fn new(cfg: &SnapshotQueryConfig) -> LiveBuild {
+        // As the batch sweeps require; a zero stride would never leave
+        // its first grid day.
+        assert!(
+            cfg.metrics.stride > 0 && cfg.communities.stride > 0,
+            "stride must be positive"
+        );
+        LiveBuild {
+            pos: 0,
+            watermark: Time::ZERO,
+            skipped: 0,
+            engine: LiveEngine::new(),
+            fingerprint: EventFingerprint::new(),
+            end_day: 0,
+            tracker: CommunityTracker::new(cfg.communities.tracker_config()),
+            metric_rows: Vec::new(),
+            community_rows: Vec::new(),
+            metrics_csv: format!("{}\n", MetricsRow::CSV_HEADER),
+            communities_csv: format!("{}\n", CommunityRow::CSV_HEADER),
+        }
+    }
+
+    /// A fresh build whose metric rows over `events` are computed up front
+    /// by the parallel day sweep (`--build-workers`), as a batch build
+    /// computes them; [`LiveBuild::advance`] then replays the prefix for
+    /// everything else. This is the first publish after start, resume or
+    /// a failed attempt.
+    fn catch_up(
+        events: &[TailEvent],
+        strict: bool,
+        cfg: &SnapshotQueryConfig,
+    ) -> Result<LiveBuild, TaskError> {
+        let (log, _) = build_prefix(events, strict).map_err(invalid_stream)?;
+        let m = &cfg.metrics;
+        let days = snapshot_days(&log, m.first_day, m.stride);
+        let ecfg = EngineConfig::builder().workers(m.workers).build();
+        let rows = day_sweep(&log, &days, &ecfg, |state, idx, day| {
+            let giant = m.samples_paths(idx).then(|| state.giant_component());
+            day_row(state.graph(), giant.as_deref(), m, day)
+        });
+        let mut build = LiveBuild::new(cfg);
+        for (day, row) in days.into_iter().zip(&rows) {
+            build.push_metric_row(MetricsRow::from_day_row(day, row));
+        }
+        Ok(build)
+    }
+
+    /// Consume `events[self.pos..]`: validate each as [`build_prefix`]
+    /// would, compute the rows of every grid day the accepted events
+    /// close, and apply them.
+    ///
+    /// Rows computed at the end of one call stay final because the
+    /// caller passes prefixes cut by [`publish_target`]: every event past
+    /// the cut comes after one later than the published day, so a later
+    /// event on or before that day fails the order check.
+    fn advance(
+        &mut self,
+        events: &[TailEvent],
+        strict: bool,
+        cfg: &SnapshotQueryConfig,
+    ) -> Result<(), TaskError> {
+        for e in &events[self.pos..] {
+            self.pos += 1;
+            let event = match self.validate(e) {
+                Ok(event) => event,
+                Err(err) if strict => return Err(invalid_stream(err)),
+                Err(_) => {
+                    self.skipped += 1;
+                    continue;
+                }
+            };
+            let day = event.time.day();
+            if let Some(prev) = day.checked_sub(1) {
+                self.compute_rows_through(prev, cfg);
+            }
+            self.engine
+                .apply(&event)
+                .expect("validated event applies to the live graph");
+            self.fingerprint.push(&event);
+            self.end_day = day;
+        }
+        self.compute_rows_through(self.end_day, cfg);
+        Ok(())
+    }
+
+    /// [`EventLogBuilder`]'s rules ([`check_event`]), against the live
+    /// graph.
+    fn validate(&mut self, e: &TailEvent) -> Result<Event, LogError> {
+        let (time, index) = (e.time(), self.applied() as usize);
+        let g = self.engine.graph();
+        let n = g.num_nodes() as u32;
+        let edge = match *e {
+            TailEvent::Node { .. } => None,
+            TailEvent::Edge { u, v, .. } => Some((u, v)),
+        };
+        check_event(&mut self.watermark, index, time, edge, n, |u, v| {
+            g.has_edge(u, v)
+        })?;
+        Ok(match *e {
+            TailEvent::Node { origin, .. } => Event::node(time, NodeId(n), origin),
+            TailEvent::Edge { u, v, .. } => Event::edge(time, u, v),
+        })
+    }
+
+    /// Compute every metric and community grid day through `day` that has
+    /// no row yet, in day order. The graph must hold exactly the events
+    /// through each of those days.
+    fn compute_rows_through(&mut self, day: Day, cfg: &SnapshotQueryConfig) {
+        let (m, c) = (&cfg.metrics, &cfg.communities);
+        loop {
+            let idx = self.metric_rows.len();
+            let next_m = grid_day(m.first_day, m.stride, idx);
+            let next_c = grid_day(c.first_day, c.stride, self.community_rows.len());
+            if next_m.min(next_c) > day as u64 {
+                return;
+            }
+            if next_m <= next_c {
+                let d = next_m as Day;
+                let giant = m.samples_paths(idx).then(|| self.engine.giant_component());
+                let row = day_row(self.engine.graph(), giant.as_deref(), m, d);
+                self.push_metric_row(MetricsRow::from_day_row(d, &row));
+            }
+            if next_c <= next_m {
+                let summary = self
+                    .tracker
+                    .observe(next_c as Day, &self.engine.graph().freeze());
+                let row = CommunityRow::from_summary(&summary);
+                self.communities_csv.push_str(&row.to_csv_row());
+                self.communities_csv.push('\n');
+                self.community_rows.push(row);
+            }
+        }
+    }
+
+    fn push_metric_row(&mut self, row: MetricsRow) {
+        self.metrics_csv.push_str(&row.to_csv_row());
+        self.metrics_csv.push('\n');
+        self.metric_rows.push(row);
+    }
+
+    /// Events kept in the log so far (accepted, not skipped).
+    fn applied(&self) -> u64 {
+        let g = self.engine.graph();
+        g.num_nodes() as u64 + g.num_edges()
+    }
+
+    /// The published form of the state: a fresh query over copies of the
+    /// rows and documents (a copy that grows with the row count, though
+    /// no row is recomputed).
+    fn snapshot(&self) -> SnapshotQuery {
+        let g = self.engine.graph();
+        SnapshotQuery::from_parts(
+            TraceMeta {
+                num_nodes: g.num_nodes() as u32,
+                num_edges: g.num_edges(),
+                num_days: self.end_day + 1,
+                fingerprint: self.fingerprint.value(),
+            },
+            EngineKind::Incremental,
+            self.metric_rows.clone(),
+            self.community_rows.clone(),
+            self.metrics_csv.clone(),
+            self.communities_csv.clone(),
+        )
+    }
+}
+
+fn invalid_stream(e: LogError) -> TaskError {
+    TaskError::Fatal(format!("invalid event stream: {e}"))
+}
+
+/// One supervised publish of the committed prefix `events`, final through
+/// `day`: advance the carried `state` over the events new since the last
+/// publish, or rebuild it from the whole prefix when there is none. The
+/// state is taken before anything can fail, so a failed attempt leaves
+/// none behind and the next attempt rebuilds. Returns the snapshot and
+/// how many events of the prefix the policy skipped.
+fn publish(
+    state: &mut Option<LiveBuild>,
+    events: &[TailEvent],
+    day: Day,
+    cfg: &LiveHeadConfig,
+) -> Result<(SnapshotQuery, u64), TaskFailure> {
+    let strict = matches!(cfg.policy, RecoveryPolicy::Strict);
+    let scfg = cfg.run_policy.supervisor_config(1);
+    let chaos = cfg.run_policy.chaos.as_ref();
+    let (build, query) = supervised_call(&format!("head-publish-day-{day}"), &scfg, |attempt| {
+        let prior = state.take();
+        osn_metrics::supervisor::chaos_gate(chaos, day as u64, attempt)?;
+        let mut build = match prior {
+            Some(build) => build,
+            None => LiveBuild::catch_up(events, strict, &cfg.query)?,
+        };
+        build.advance(events, strict, &cfg.query)?;
+        let query = build.snapshot();
+        Ok((build, query))
+    })?;
+    let skipped = build.skipped;
+    *state = Some(build);
+    Ok((query, skipped))
+}
+
 /// Load and sanity-check `head.ckpt`, if present.
 fn load_checkpoint(dir: &Path) -> Result<Option<ReplayCheckpoint>, LiveError> {
     let path = head_checkpoint_path(dir);
@@ -460,9 +755,6 @@ pub fn run_follow(
     shutdown: &AtomicBool,
 ) -> Result<FollowReport, LiveError> {
     let mut tail = TailReader::new(&cfg.path, cfg.policy.clone());
-    let strict = matches!(cfg.policy, RecoveryPolicy::Strict);
-    let scfg = cfg.run_policy.supervisor_config(1);
-    let chaos = cfg.run_policy.chaos.as_ref();
 
     // Crash resume: validate once the re-read prefix reaches cp.pos, and
     // suppress publishes below cp.day so catch-up costs one build.
@@ -483,6 +775,9 @@ pub fn run_follow(
         publishes: 0,
         completed: false,
     };
+    let mut build: Option<LiveBuild> = None;
+    // Skipped events already counted: those of the last published prefix.
+    let mut skips_counted = 0u64;
     let mut failed_at: Option<usize> = None;
     let mut backoff = PollBackoff::new();
     let mut last_progress = Instant::now();
@@ -491,12 +786,15 @@ pub fn run_follow(
         if shutdown.load(Ordering::Acquire) {
             break;
         }
+        // Read before polling, so an append notified during this round
+        // cuts the next wait short instead of being missed.
+        let seen = live.appends_notified();
         let batch = match tail.poll() {
             Ok(b) => b,
             Err(TailError::Missing) => {
                 live.set_health(IngestHealth::Missing);
                 osn_obs::counter!("head.file_missing_polls").inc();
-                sleep_interruptible(backoff.on_poll(false, cfg.poll_interval), shutdown);
+                live.wait_for_append(seen, backoff.on_poll(false, cfg.poll_interval), shutdown);
                 continue;
             }
             Err(e) => {
@@ -551,23 +849,19 @@ pub fn run_follow(
         // event's day (that day may still be receiving events), or the
         // whole log once the footer verified.
         let min_day = resume.as_ref().map(|cp| cp.day);
-        let (want_pos, want_day) = publish_target(&events, tail.finished(), min_day);
         let already = live.published_pos.load(Ordering::Relaxed) as usize;
+        let (want_pos, want_day) = publish_target(&events, already, tail.finished(), min_day);
         if want_pos > already && failed_at != Some(want_pos) {
-            let label = format!("head-publish-day-{want_day}");
             let t0 = Instant::now();
-            let built = supervised_call(&label, &scfg, |attempt| {
-                osn_metrics::supervisor::chaos_gate(chaos, want_day as u64, attempt)?;
-                let (log, skipped) = build_prefix(&events[..want_pos], strict)
-                    .map_err(|e| TaskError::Fatal(format!("invalid event stream: {e}")))?;
-                let query = SnapshotQuery::build(&log, &cfg.query);
-                Ok((log.fingerprint(), log.events().len() as u64, skipped, query))
-            });
-            match built {
-                Ok((fingerprint, applied, skipped, query)) => {
-                    if skipped > 0 {
-                        osn_obs::counter!("head.events_skipped").add(skipped);
+            match publish(&mut build, &events[..want_pos], want_day, cfg) {
+                Ok((query, skipped)) => {
+                    let meta = query.meta();
+                    let (fingerprint, applied) =
+                        (meta.fingerprint, meta.num_nodes as u64 + meta.num_edges);
+                    if skipped > skips_counted {
+                        osn_obs::counter!("head.events_skipped").add(skipped - skips_counted);
                     }
+                    skips_counted = skipped;
                     live.install(query, want_day, want_pos as u64, applied);
                     live.set_health(if tail.finished() {
                         IngestHealth::Complete
@@ -625,7 +919,11 @@ pub fn run_follow(
             live.set_health(IngestHealth::Ok);
         }
 
-        sleep_interruptible(backoff.on_poll(progressed, cfg.poll_interval), shutdown);
+        live.wait_for_append(
+            seen,
+            backoff.on_poll(progressed, cfg.poll_interval),
+            shutdown,
+        );
     }
     Ok(report)
 }
@@ -634,7 +932,18 @@ pub fn run_follow(
 /// the whole log once finished, otherwise the prefix of days strictly
 /// before the last committed event's day, clamped up to `min_day` while
 /// resuming. `(0, _)` means nothing to publish.
-fn publish_target(events: &[TailEvent], finished: bool, min_day: Option<Day>) -> (usize, Day) {
+///
+/// The prefix ends at the first event past that day, searched linearly
+/// from `published` (the end of the last published prefix): the stream
+/// need not be in time order, and an event past the day must never enter
+/// a publish, since the day it lands on would be computed before all of
+/// its events are in.
+fn publish_target(
+    events: &[TailEvent],
+    published: usize,
+    finished: bool,
+    min_day: Option<Day>,
+) -> (usize, Day) {
     let Some(last) = events.last() else {
         return (0, 0);
     };
@@ -649,7 +958,11 @@ fn publish_target(events: &[TailEvent], finished: bool, min_day: Option<Day>) ->
             return (0, 0);
         }
     }
-    let pos = events.partition_point(|e| e.time() < Time::day_end(day));
+    let end = Time::day_end(day);
+    let pos = events[published..]
+        .iter()
+        .position(|e| e.time() >= end)
+        .map_or(events.len(), |k| published + k);
     (pos, day)
 }
 
@@ -686,24 +999,14 @@ impl PollBackoff {
     }
 }
 
-/// Sleep in small slices so a shutdown request interrupts promptly.
-fn sleep_interruptible(total: Duration, shutdown: &AtomicBool) {
-    let slice = Duration::from_millis(10);
-    let mut remaining = total;
-    while !remaining.is_zero() && !shutdown.load(Ordering::Acquire) {
-        let step = remaining.min(slice);
-        std::thread::sleep(step);
-        remaining -= step;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::communities::CommunityAnalysisConfig;
     use crate::network::MetricSeriesConfig;
     use osn_genstream::{TraceConfig, TraceGenerator};
-    use osn_graph::io::write_log_v2_chunked;
+    use osn_graph::io::{write_log_v2_chunked, LogAppender};
+    use osn_graph::testutil::{ChaosAction, ChaosTaskPlan};
     use std::fs::OpenOptions;
     use std::io::Write as _;
 
@@ -1033,6 +1336,433 @@ mod tests {
         assert!(
             json.contains(&format!("\"day\":{}", log.end_day())),
             "{json}"
+        );
+    }
+
+    /// A writer whose bytes the test can read while a [`LogAppender`]
+    /// owns it.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    /// Publish by publish, the carried build must serve exactly the bytes
+    /// a batch build over the same committed prefix serves.
+    #[test]
+    fn every_publish_matches_a_batch_build_of_its_prefix() {
+        use crate::network::import_view;
+
+        let tcfg = TraceConfig::tiny();
+        let merge_day = tcfg.merge.as_ref().unwrap().merge_day;
+        // The import view bulk-loads the competitor on the merge day.
+        let log = import_view(&TraceGenerator::new(tcfg).generate(), merge_day);
+        // Day 31 (on both grids below) is emptied into day 32.
+        let empty_day = 31;
+        let mut by_day: Vec<Vec<Event>> = vec![Vec::new(); log.end_day() as usize + 1];
+        for e in log.events() {
+            let mut e = *e;
+            if e.time.day() == empty_day {
+                e.time = Time::day_start(empty_day + 1);
+            }
+            by_day[e.time.day() as usize].push(e);
+        }
+        assert!(by_day[empty_day as usize].is_empty());
+        assert!(by_day[merge_day as usize].len() > 200, "bulk import");
+        // Invalid events the skip policy drops: a self-loop, an unknown
+        // endpoint, a duplicate edge and an out-of-order arrival. Then a
+        // self-loop one second ahead of the next edge: it still raises
+        // the order watermark, so that edge is dropped as out of order.
+        let j = (1..by_day[100].len())
+            .find(|&j| by_day[100][j].is_edge())
+            .expect("an edge on day 100");
+        let t = by_day[100][j].time;
+        let (_, u, v) = log.edge_events().next().unwrap();
+        let bad = [
+            Event::edge(t, NodeId(0), NodeId(0)),
+            Event::edge(t, NodeId(0), NodeId(999_999)),
+            Event::edge(t, v, u),
+            Event::node(Time(t.seconds() - 1), NodeId(0), osn_graph::Origin::Core),
+            Event::edge(t.plus_seconds(1), NodeId(0), NodeId(0)),
+        ];
+        by_day[100].splice(j..j, bad);
+        // Day 6's instalment ends with an event from day 7 (a grid day on
+        // both grids), then late arrivals: more day-6 events than precede
+        // it, and one day-7 event. Only the events before the day-7 one
+        // may enter that publish, or day 7's rows would be computed
+        // before its remaining events are in.
+        let late_day = 6;
+        assert!(!by_day[late_day as usize + 1].is_empty());
+        let before: usize = by_day[..=late_day as usize].iter().map(Vec::len).sum();
+        let (ahead, late) = (
+            Time::day_start(late_day + 1),
+            Time::day_start(late_day).plus_seconds(1),
+        );
+        let core = osn_graph::Origin::Core;
+        let day6 = &mut by_day[late_day as usize];
+        day6.push(Event::node(ahead, NodeId(0), core));
+        day6.extend((0..before + 2).map(|_| Event::node(late, NodeId(0), core)));
+        day6.push(Event::node(ahead, NodeId(0), core));
+
+        // 37-event chunks, plus a chunk break at the end of a few days.
+        let boundary_days = [late_day, 25, 60, merge_day, 120];
+        let mut chunks: Vec<Vec<Event>> = vec![Vec::new()];
+        let mut day_end_chunks = Vec::new();
+        for (day, events) in by_day.iter().enumerate() {
+            for &e in events {
+                if chunks.last().unwrap().len() == 37 {
+                    chunks.push(Vec::new());
+                }
+                chunks.last_mut().unwrap().push(e);
+            }
+            if boundary_days.contains(&(day as Day)) {
+                day_end_chunks.push(chunks.len() - 1);
+                chunks.push(Vec::new());
+            }
+        }
+        let buf = SharedBuf::default();
+        let mut trace = LogAppender::new(buf.clone()).unwrap();
+        let mut ends = Vec::new();
+        for chunk in &chunks {
+            trace.append_chunk(chunk).unwrap();
+            ends.push(buf.0.borrow().len());
+        }
+        trace.finish().unwrap();
+        let bytes = buf.0.borrow().clone();
+        let mid = |frac: f64| {
+            let k = ((ends.len() as f64 * frac) as usize).max(1);
+            (ends[k - 1] + ends[k]) / 2
+        };
+        let mut cuts: Vec<usize> = day_end_chunks.iter().map(|&k| ends[k]).collect();
+        cuts.extend([
+            mid(0.3),
+            mid(0.5),
+            mid(0.7),
+            ends[ends.len() * 9 / 10],
+            bytes.len(),
+        ]);
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let dir = scratch("publish-differential");
+        let path = dir.join("trace.events");
+        let mut cfg = head_cfg(&path);
+        cfg.query = SnapshotQuery::builder()
+            .metrics(MetricSeriesConfig {
+                stride: 3,
+                first_day: 1,
+                path_sample: 20,
+                clustering_sample: 40,
+                workers: 2,
+                ..Default::default()
+            })
+            .communities(CommunityAnalysisConfig {
+                first_day: 3,
+                stride: 4,
+                ..Default::default()
+            })
+            .config()
+            .clone();
+
+        let mut tail = TailReader::new(&path, cfg.policy.clone());
+        let mut events = Vec::new();
+        let (mut state, mut published, mut publishes) = (None, 0, 0);
+        let mut written = 0;
+        for &cut in &cuts {
+            append(&path, &bytes[written..cut]);
+            written = cut;
+            events.extend(tail.poll().unwrap().events);
+            let (pos, day) = publish_target(&events, published, tail.finished(), None);
+            if pos <= published {
+                continue;
+            }
+            let (query, skipped) = publish(&mut state, &events[..pos], day, &cfg).unwrap();
+            let (prefix, skipped_by_batch) = build_prefix(&events[..pos], false).unwrap();
+            let batch = SnapshotQuery::build(&prefix, &cfg.query);
+            assert_eq!(query.metrics_csv(), batch.metrics_csv(), "publish at {pos}");
+            assert_eq!(query.communities_csv(), batch.communities_csv(), "at {pos}");
+            assert_eq!(query.days_json(), batch.days_json(), "at {pos}");
+            assert_eq!(query.meta_json("v"), batch.meta_json("v"), "at {pos}");
+            assert_eq!(skipped, skipped_by_batch, "at {pos}");
+            if publishes == 0 {
+                assert_eq!(day, late_day, "the first cut ends day {late_day}");
+                assert!(prefix.end_day() <= late_day, "no later event published");
+            }
+            published = pos;
+            publishes += 1;
+        }
+        assert!(tail.finished());
+        assert_eq!(published, events.len());
+        assert!(publishes >= 5, "{publishes} publishes");
+        let (_, skipped) = build_prefix(&events, false).unwrap();
+        assert!(skipped >= 6 + before as u64, "{skipped} skipped");
+    }
+
+    /// The cut ends at the first event past the publishable day, also when
+    /// a later event on or before that day follows it.
+    #[test]
+    fn publish_target_cuts_at_the_first_event_past_the_day() {
+        let at = |day| TailEvent::Node {
+            time: Time::day_start(day),
+            origin: osn_graph::Origin::Core,
+        };
+        let events = [at(1), at(7), at(3), at(4)];
+        assert_eq!(publish_target(&events, 0, false, None), (1, 3));
+        assert_eq!(publish_target(&events, 1, false, None), (1, 3));
+        assert_eq!(publish_target(&events, 0, true, None), (4, 4));
+        assert_eq!(publish_target(&events, 0, false, Some(4)), (0, 0));
+        let sorted = [at(1), at(2), at(2), at(5)];
+        assert_eq!(publish_target(&sorted, 1, false, None), (3, 4));
+    }
+
+    /// `--engine` selects the non-follow build only: a follow snapshot
+    /// says it was built incrementally, with the batch engine's bytes.
+    #[test]
+    fn follow_snapshots_report_the_incremental_engine() {
+        let dir = scratch("meta-engine");
+        let path = dir.join("trace.events");
+        let log = tiny_log();
+        let mut bytes = Vec::new();
+        write_log_v2_chunked(&log, &mut bytes, 64).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let mut cfg = head_cfg(&path);
+        cfg.query.engine = EngineKind::Batch;
+        let live = LiveQuery::for_follow();
+        run_follow(&cfg, &live, &AtomicBool::new(false)).unwrap();
+        let followed = live.get().expect("published");
+        let batch = SnapshotQuery::build(&log, &cfg.query);
+        assert!(followed
+            .meta_json("v")
+            .contains("\"engine\":\"incremental\""));
+        assert!(batch.meta_json("v").contains("\"engine\":\"batch\""));
+        assert_eq!(followed.metrics_csv(), batch.metrics_csv());
+        assert_eq!(followed.communities_csv(), batch.communities_csv());
+    }
+
+    /// Start `run_follow` on its own thread.
+    fn spawn_head(
+        cfg: &LiveHeadConfig,
+        live: &Arc<LiveQuery>,
+        shutdown: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<Result<FollowReport, LiveError>> {
+        let (cfg, live, stop) = (cfg.clone(), live.clone(), shutdown.clone());
+        std::thread::spawn(move || run_follow(&cfg, &live, &stop))
+    }
+
+    fn wait_until(what: &str, timeout: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + timeout;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The tiny trace in three instalments cut on chunk boundaries, with
+    /// the day each one makes final, the batch query over that prefix and
+    /// how many of its events the skip policy drops.
+    struct Instalments {
+        parts: Vec<Vec<u8>>,
+        days: Vec<Day>,
+        batches: Vec<SnapshotQuery>,
+        skipped: Vec<u64>,
+    }
+
+    /// With `self_loops`, the trace carries a self-loop early in each
+    /// instalment, for the skip policy to drop.
+    fn instalments(dir: &Path, query: &SnapshotQueryConfig, self_loops: bool) -> Instalments {
+        let mut events = tiny_log().events().to_vec();
+        if self_loops {
+            for k in [5, 3, 1] {
+                let i = events.len() * k / 6;
+                let t = events[i].time;
+                events.insert(i, Event::edge(t, NodeId(0), NodeId(0)));
+            }
+        }
+        let buf = SharedBuf::default();
+        let mut trace = LogAppender::new(buf.clone()).unwrap();
+        for chunk in events.chunks(64) {
+            trace.append_chunk(chunk).unwrap();
+        }
+        trace.finish().unwrap();
+        let bytes = buf.0.borrow().clone();
+        let ends: Vec<usize> = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .scan(0, |at, line| {
+                *at += line.len();
+                Some((*at, line.starts_with(b"#%chunk")))
+            })
+            .filter_map(|(at, chunk)| chunk.then_some(at))
+            .collect();
+        let cuts = [
+            0,
+            ends[ends.len() / 3],
+            ends[ends.len() * 2 / 3],
+            bytes.len(),
+        ];
+        let probe_path = dir.join("probe.events");
+        let mut probe = TailReader::new(&probe_path, RecoveryPolicy::Strict);
+        let mut events = Vec::new();
+        let mut out = Instalments {
+            parts: Vec::new(),
+            days: Vec::new(),
+            batches: Vec::new(),
+            skipped: Vec::new(),
+        };
+        for w in cuts.windows(2) {
+            let part = bytes[w[0]..w[1]].to_vec();
+            append(&probe_path, &part);
+            events.extend(probe.poll().unwrap().events);
+            let (pos, day) = publish_target(&events, 0, probe.finished(), None);
+            let (prefix, skipped) = build_prefix(&events[..pos], false).unwrap();
+            out.parts.push(part);
+            out.days.push(day);
+            out.batches.push(SnapshotQuery::build(&prefix, query));
+            out.skipped.push(skipped);
+        }
+        assert!(out.days.windows(2).all(|d| d[0] < d[1]), "{:?}", out.days);
+        out
+    }
+
+    fn assert_serves(live: &LiveQuery, batch: &SnapshotQuery) {
+        let q = live.get().expect("published");
+        assert_eq!(q.metrics_csv(), batch.metrics_csv());
+        assert_eq!(q.communities_csv(), batch.communities_csv());
+        assert_eq!(q.days_json(), batch.days_json());
+    }
+
+    /// A publish that panics with no retries left wedges the head on the
+    /// previous snapshot; the next publish rebuilds and recovers, counting
+    /// each skipped event once.
+    #[test]
+    fn failed_publish_keeps_serving_then_recovers() {
+        let _gate = osn_obs::test_gate();
+        osn_obs::set_enabled(true);
+        let dir = scratch("publish-panic");
+        let path = dir.join("trace.events");
+        let mut cfg = head_cfg(&path);
+        cfg.poll_interval = Duration::from_secs(30);
+        let parts = instalments(&dir, &cfg.query, true);
+        cfg.run_policy.chaos = Some(ChaosTaskPlan::default().with_rule(
+            parts.days[1] as u64,
+            None,
+            ChaosAction::Panic("poisoned publish".into()),
+        ));
+        let failures = osn_obs::counter!("head.build_failures");
+        let failures_before = failures.value();
+        let skips = osn_obs::counter!("head.events_skipped");
+        let skips_before = skips.value();
+
+        append(&path, &parts.parts[0]);
+        let live = LiveQuery::for_follow();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let head = spawn_head(&cfg, &live, &shutdown);
+        let minute = Duration::from_secs(60);
+        wait_until("first publish", minute, || live.published_day().is_some());
+        assert_eq!(live.published_day(), Some(parts.days[0]));
+        assert!(parts.skipped[0] >= 1);
+        assert_eq!(skips.value() - skips_before, parts.skipped[0]);
+
+        append(&path, &parts.parts[1]);
+        live.notify_appended();
+        wait_until("wedged", minute, || live.health() == IngestHealth::Wedged);
+        assert_eq!(live.published_day(), Some(parts.days[0]));
+        assert_serves(&live, &parts.batches[0]);
+        assert_eq!(failures.value() - failures_before, 1);
+
+        append(&path, &parts.parts[2]);
+        live.notify_appended();
+        let report = head.join().unwrap().unwrap();
+        osn_obs::set_enabled(false);
+        assert!(report.completed);
+        assert_eq!(report.published_day, Some(parts.days[2]));
+        assert_eq!(live.health(), IngestHealth::Complete);
+        assert_serves(&live, &parts.batches[2]);
+        assert_eq!(parts.skipped[2], 3);
+        assert_eq!(skips.value() - skips_before, 3);
+    }
+
+    /// A retried publish rebuilds the discarded state and serves the same
+    /// bytes. Panics are never retried, so the retry is driven by a
+    /// transient failure on the first attempt.
+    #[test]
+    fn retried_publish_serves_identical_bytes() {
+        let dir = scratch("publish-retry");
+        let path = dir.join("trace.events");
+        let mut cfg = head_cfg(&path);
+        cfg.poll_interval = Duration::from_secs(30);
+        let parts = instalments(&dir, &cfg.query, false);
+        cfg.run_policy.retries = 1;
+        cfg.run_policy.chaos = Some(ChaosTaskPlan::default().with_rule(
+            parts.days[1] as u64,
+            Some(1),
+            ChaosAction::Transient("flaky publish".into()),
+        ));
+
+        append(&path, &parts.parts[0]);
+        let live = LiveQuery::for_follow();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let head = spawn_head(&cfg, &live, &shutdown);
+        let minute = Duration::from_secs(60);
+        wait_until("first publish", minute, || live.published_day().is_some());
+        append(&path, &parts.parts[1]);
+        live.notify_appended();
+        wait_until("retried publish", minute, || {
+            live.published_day() == Some(parts.days[1])
+        });
+        assert_eq!(live.health(), IngestHealth::Ok);
+        assert_serves(&live, &parts.batches[1]);
+        shutdown.store(true, Ordering::Release);
+        head.join().unwrap().unwrap();
+    }
+
+    /// With a 30 s poll interval, an accepted write's wake publishes the
+    /// new day at once, and shutdown still interrupts the wait promptly.
+    #[test]
+    fn notified_append_publishes_without_waiting_for_the_poll() {
+        let dir = scratch("wake");
+        let path = dir.join("trace.events");
+        let mut cfg = head_cfg(&path);
+        cfg.poll_interval = Duration::from_secs(30);
+        let parts = instalments(&dir, &cfg.query, false);
+
+        append(&path, &parts.parts[0]);
+        let live = LiveQuery::for_follow();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let head = spawn_head(&cfg, &live, &shutdown);
+        wait_until("first publish", Duration::from_secs(60), || {
+            live.published_day().is_some()
+        });
+        append(&path, &parts.parts[1]);
+        live.notify_appended();
+        wait_until("woken publish", Duration::from_secs(1), || {
+            live.published_day() == Some(parts.days[1])
+        });
+        // Let the head go back to waiting before asking it to stop.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        shutdown.store(true, Ordering::Release);
+        head.join().unwrap().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "{:?}",
+            t0.elapsed()
         );
     }
 }

@@ -19,7 +19,7 @@
 //! gaps.
 
 use crate::communities::{track, CommunityAnalysisConfig};
-use crate::network::{metric_series_supervised_with, MetricSeries, MetricSeriesConfig};
+use crate::network::{metric_series_supervised_with, DayRow, MetricSeries, MetricSeriesConfig};
 use osn_community::SnapshotSummary;
 use osn_graph::{Day, EventLog};
 use osn_metrics::engine::EngineKind;
@@ -204,6 +204,19 @@ impl MetricsRow {
     pub const CSV_HEADER: &'static str =
         "day,avg_degree,avg_path_length,avg_clustering,assortativity";
 
+    /// The row of snapshot `day` as every sweep computes it: degree and
+    /// clustering always present, path length and assortativity when
+    /// defined.
+    pub(crate) fn from_day_row(day: Day, r: &DayRow) -> MetricsRow {
+        MetricsRow {
+            day,
+            avg_degree: Some(r.avg_degree),
+            avg_path_length: r.path_length,
+            avg_clustering: Some(r.clustering),
+            assortativity: r.assortativity,
+        }
+    }
+
     /// Render the row as one CSV line (no trailing newline), cell-for-
     /// cell identical to the batch `Table::to_csv` rendering.
     pub fn to_csv_row(&self) -> String {
@@ -244,6 +257,16 @@ pub struct CommunityRow {
 impl CommunityRow {
     /// The CSV header of the communities table, without trailing newline.
     pub const CSV_HEADER: &'static str = "day,modularity,tracked_communities,top5_coverage";
+
+    /// The row of one tracked snapshot.
+    pub(crate) fn from_summary(s: &SnapshotSummary) -> CommunityRow {
+        CommunityRow {
+            day: s.day,
+            modularity: Some(s.modularity),
+            tracked_communities: Some(s.num_tracked as f64),
+            top5_coverage: Some(s.top5_coverage),
+        }
+    }
 
     /// Render the row as one CSV line (no trailing newline).
     pub fn to_csv_row(&self) -> String {
@@ -316,18 +339,6 @@ fn metric_rows(m: &MetricSeries) -> Vec<MetricsRow> {
     .collect()
 }
 
-fn community_rows(summaries: &[SnapshotSummary]) -> Vec<CommunityRow> {
-    summaries
-        .iter()
-        .map(|s| CommunityRow {
-            day: s.day,
-            modularity: Some(s.modularity),
-            tracked_communities: Some(s.num_tracked as f64),
-            top5_coverage: Some(s.top5_coverage),
-        })
-        .collect()
-}
-
 /// Render a full CSV document from typed rows through the shared
 /// serializer (header + one line per row, newline-terminated).
 fn csv_document<R>(header: &str, rows: &[R], render: impl Fn(&R) -> String) -> String {
@@ -396,7 +407,8 @@ impl SnapshotQuery {
             track(log, &cfg.communities)
         };
         let metric_rows = metric_rows(&m);
-        let community_rows = community_rows(&summaries);
+        let community_rows: Vec<CommunityRow> =
+            summaries.iter().map(CommunityRow::from_summary).collect();
         let metrics_csv =
             csv_document(MetricsRow::CSV_HEADER, &metric_rows, MetricsRow::to_csv_row);
         let communities_csv = csv_document(
@@ -412,6 +424,27 @@ impl SnapshotQuery {
                 fingerprint: log.fingerprint(),
             },
             engine: cfg.engine,
+            metric_rows,
+            community_rows,
+            metrics_csv,
+            communities_csv,
+        }
+    }
+
+    /// Assemble a query from rows and CSV documents built elsewhere (the
+    /// live head keeps them across publishes). The documents must be the
+    /// rows' CSV renderings: the header, then one line per row.
+    pub(crate) fn from_parts(
+        meta: TraceMeta,
+        engine: EngineKind,
+        metric_rows: Vec<MetricsRow>,
+        community_rows: Vec<CommunityRow>,
+        metrics_csv: String,
+        communities_csv: String,
+    ) -> SnapshotQuery {
+        SnapshotQuery {
+            meta,
+            engine,
             metric_rows,
             community_rows,
             metrics_csv,

@@ -46,7 +46,7 @@ pub use csr::CsrGraph;
 pub use dynamic::{ApplyError, DeltaObserver, DynamicGraph, NoDelta};
 pub use event::{Event, EventKind, Origin};
 pub use io::{IngestReport, ParseError, RecoveryPolicy};
-pub use log::{EventLog, EventLogBuilder, LogError};
+pub use log::{check_event, EventFingerprint, EventLog, EventLogBuilder, LogError};
 pub use snapshots::{CheckpointError, DailySnapshots, ReplayCheckpoint, Replayer};
 pub use tail::{TailBatch, TailError, TailEvent, TailReader};
 pub use time::{Day, NodeId, Time, SECONDS_PER_DAY};

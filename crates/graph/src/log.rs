@@ -158,30 +158,11 @@ impl EventLog {
     /// cryptographic — it guards against operator mistakes, not
     /// adversaries.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
+        let mut h = EventFingerprint::new();
         for e in &self.events {
-            mix(e.time.seconds());
-            match e.kind {
-                EventKind::AddNode { node, origin } => {
-                    mix(1);
-                    mix(node.0 as u64);
-                    mix(origin as u64);
-                }
-                EventKind::AddEdge { u, v } => {
-                    mix(2);
-                    mix(u.0 as u64);
-                    mix(v.0 as u64);
-                }
-            }
+            h.push(e);
         }
-        h
+        h.value()
     }
 
     /// Count nodes and edges created on each day, over `0..=end_day`.
@@ -200,6 +181,116 @@ impl EventLog {
         }
         (nodes, edges)
     }
+}
+
+/// Streaming form of [`EventLog::fingerprint`]: pushing a log's events
+/// in order yields the same value, so a consumer that receives events
+/// one at a time can fingerprint its prefix without building a log.
+#[derive(Debug, Clone)]
+pub struct EventFingerprint(u64);
+
+impl EventFingerprint {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The fingerprint of the empty stream.
+    pub fn new() -> Self {
+        EventFingerprint(Self::OFFSET)
+    }
+
+    fn mix(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Fold in the next event (FNV-1a over its time, kind and payload).
+    pub fn push(&mut self, e: &Event) {
+        self.mix(e.time.seconds());
+        match e.kind {
+            EventKind::AddNode { node, origin } => {
+                self.mix(1);
+                self.mix(node.0 as u64);
+                self.mix(origin as u64);
+            }
+            EventKind::AddEdge { u, v } => {
+                self.mix(2);
+                self.mix(u.0 as u64);
+                self.mix(v.0 as u64);
+            }
+        }
+    }
+
+    /// The fingerprint of the events pushed so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for EventFingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// [`EventLog`]'s validity rules for one more event, against the log
+/// built so far: the time order first, then, for an edge `Some((a, b))`,
+/// that both endpoints are among the `num_nodes` nodes, that it is no
+/// self-loop and that `has_edge` does not already report it. `index` is
+/// the event's position in the log, for the error. The watermark
+/// `last_time` rises to the event's time whenever the order check
+/// passes, even if a later check then fails.
+///
+/// [`EventLogBuilder`] calls this, and so does any consumer that checks a
+/// stream against a graph of its own, so both keep the same events.
+pub fn check_event(
+    last_time: &mut Time,
+    index: usize,
+    time: Time,
+    edge: Option<(NodeId, NodeId)>,
+    num_nodes: u32,
+    has_edge: impl FnOnce(NodeId, NodeId) -> bool,
+) -> Result<(), LogError> {
+    if time < *last_time {
+        return Err(LogError::OutOfOrder {
+            index,
+            time,
+            prev: *last_time,
+        });
+    }
+    *last_time = time;
+    let Some((a, b)) = edge else {
+        return Ok(());
+    };
+    for node in [a, b] {
+        if node.0 >= num_nodes {
+            return Err(LogError::UnknownNode { node });
+        }
+    }
+    if a == b {
+        return Err(LogError::SelfLoop { node: a });
+    }
+    if has_edge(a, b) {
+        return Err(LogError::DuplicateEdge {
+            u: a.min(b),
+            v: a.max(b),
+        });
+    }
+    Ok(())
+}
+
+/// True if `a-b` is in the sorted adjacency `adj`, probing the smaller
+/// list.
+fn adj_has_edge(adj: &[Vec<u32>], a: NodeId, b: NodeId) -> bool {
+    if a.index() >= adj.len() || b.index() >= adj.len() {
+        return false;
+    }
+    let (probe, other) = if adj[a.index()].len() <= adj[b.index()].len() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    adj[probe.index()].binary_search(&other.0).is_ok()
 }
 
 /// Incremental builder enforcing [`EventLog`]'s invariants.
@@ -248,7 +339,15 @@ impl EventLogBuilder {
     /// Append a node-creation event. The new node's id is returned and is
     /// always `NodeId(n)` where `n` is the number of nodes added before.
     pub fn add_node(&mut self, time: Time, origin: Origin) -> Result<NodeId, LogError> {
-        self.check_time(time)?;
+        let n = self.num_nodes();
+        check_event(
+            &mut self.last_time,
+            self.events.len(),
+            time,
+            None,
+            n,
+            |_, _| false,
+        )?;
         let id = NodeId(self.origins.len() as u32);
         self.origins.push(origin);
         self.join_times.push(time);
@@ -259,26 +358,16 @@ impl EventLogBuilder {
 
     /// Append an edge-creation event between two existing nodes.
     pub fn add_edge(&mut self, time: Time, a: NodeId, b: NodeId) -> Result<(), LogError> {
-        self.check_time(time)?;
-        let n = self.origins.len() as u32;
-        for node in [a, b] {
-            if node.0 >= n {
-                return Err(LogError::UnknownNode { node });
-            }
-        }
-        if a == b {
-            return Err(LogError::SelfLoop { node: a });
-        }
+        let n = self.num_nodes();
+        check_event(
+            &mut self.last_time,
+            self.events.len(),
+            time,
+            Some((a, b)),
+            n,
+            |a, b| adj_has_edge(&self.adj, a, b),
+        )?;
         let (u, v) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        // Duplicate check against the smaller-degree endpoint's list.
-        let (probe, other) = if self.adj[u.index()].len() <= self.adj[v.index()].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        if self.adj[probe.index()].binary_search(&other.0).is_ok() {
-            return Err(LogError::DuplicateEdge { u, v });
-        }
         let pos = self.adj[u.index()].binary_search(&v.0).unwrap_err();
         self.adj[u.index()].insert(pos, v.0);
         let pos = self.adj[v.index()].binary_search(&u.0).unwrap_err();
@@ -290,15 +379,7 @@ impl EventLogBuilder {
 
     /// True if the undirected edge `a-b` has already been added.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        if a.index() >= self.adj.len() || b.index() >= self.adj.len() {
-            return false;
-        }
-        let (probe, other) = if self.adj[a.index()].len() <= self.adj[b.index()].len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.adj[probe.index()].binary_search(&other.0).is_ok()
+        adj_has_edge(&self.adj, a, b)
     }
 
     /// Current degree of a node (0 for unknown ids).
@@ -312,18 +393,6 @@ impl EventLogBuilder {
     /// (friend-of-friend attachment) against the graph built so far.
     pub fn neighbors(&self, node: NodeId) -> &[u32] {
         self.adj.get(node.index()).map_or(&[], |v| v.as_slice())
-    }
-
-    fn check_time(&mut self, time: Time) -> Result<(), LogError> {
-        if time < self.last_time {
-            return Err(LogError::OutOfOrder {
-                index: self.events.len(),
-                time,
-                prev: self.last_time,
-            });
-        }
-        self.last_time = time;
-        Ok(())
     }
 
     /// Finish building and return the validated log.

@@ -170,26 +170,13 @@ impl<'a> Replayer<'a> {
 
     /// Apply all events with `time < t`. Returns how many were applied.
     pub fn advance_to(&mut self, t: Time) -> usize {
-        self.advance_to_with(t, &mut crate::dynamic::NoDelta)
-    }
-
-    /// Apply all events with `time < t`, routing every accepted event
-    /// through `obs` (see [`DeltaObserver`](crate::dynamic::DeltaObserver)).
-    /// This is how the incremental engine keeps per-metric state in sync
-    /// with the replay without a second pass. Returns how many events were
-    /// applied.
-    pub fn advance_to_with<O: crate::dynamic::DeltaObserver>(
-        &mut self,
-        t: Time,
-        obs: &mut O,
-    ) -> usize {
         let events = self.log.events();
         let start = self.pos;
         while self.pos < events.len() && events[self.pos].time < t {
             // The log was validated at construction, so a malformed event
             // here means the invariant chain is broken — fail loudly in
             // every build profile instead of corrupting the replay.
-            if let Err(e) = self.graph.apply_with(&events[self.pos], obs) {
+            if let Err(e) = self.graph.apply(&events[self.pos]) {
                 panic!(
                     "validated EventLog produced a malformed event at position {}: {e}",
                     self.pos
@@ -207,15 +194,6 @@ impl<'a> Replayer<'a> {
     /// before the start of `day + 1`). Returns how many were applied.
     pub fn advance_through_day(&mut self, day: Day) -> usize {
         self.advance_to(Time::day_end(day))
-    }
-
-    /// Observer-carrying variant of [`Self::advance_through_day`].
-    pub fn advance_through_day_with<O: crate::dynamic::DeltaObserver>(
-        &mut self,
-        day: Day,
-        obs: &mut O,
-    ) -> usize {
-        self.advance_to_with(Time::day_end(day), obs)
     }
 
     /// Apply the remaining events.

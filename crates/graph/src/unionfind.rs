@@ -22,6 +22,17 @@ impl UnionFind {
         }
     }
 
+    /// Add singleton sets until the structure covers `0..n` (a no-op when
+    /// it already does), for element sets that grow over time.
+    pub fn grow(&mut self, n: usize) {
+        let len = self.parent.len();
+        if n > len {
+            self.parent.extend(len as u32..n as u32);
+            self.size.resize(n, 1);
+            self.num_sets += n - len;
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -135,5 +146,19 @@ mod tests {
         assert_eq!(uf.num_sets(), 1);
         assert!(uf.connected(0, 99));
         assert_eq!(uf.set_size(50), 100);
+    }
+
+    #[test]
+    fn grow_adds_singletons_and_keeps_sets() {
+        let mut uf = UnionFind::new(2);
+        uf.union(0, 1);
+        uf.grow(4);
+        uf.grow(3);
+        assert_eq!(uf.len(), 4);
+        assert_eq!(uf.num_sets(), 3);
+        assert!(uf.connected(0, 1));
+        assert_eq!(uf.set_size(3), 1);
+        uf.union(1, 3);
+        assert_eq!(uf.set_size(0), 3);
     }
 }

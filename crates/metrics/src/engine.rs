@@ -37,8 +37,8 @@ use crate::components::largest_component_of;
 use crate::parallel::default_workers;
 use osn_graph::dynamic::DeltaObserver;
 use osn_graph::{
-    CheckpointError, Day, DynamicGraph, EventLog, NodeId, Origin, ReplayCheckpoint, Replayer, Time,
-    UnionFind,
+    ApplyError, CheckpointError, Day, DynamicGraph, Event, EventKind, EventLog, NodeId, Origin,
+    ReplayCheckpoint, Time, UnionFind,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -142,8 +142,9 @@ impl EngineConfigBuilder {
 pub struct MetricDeltas {
     /// `hist[d]` = number of nodes with degree `d`.
     degree_hist: Vec<u64>,
-    /// Live connected components (sized for the whole log up front;
-    /// not-yet-arrived nodes are untouched singletons).
+    /// Live connected components (sized for the whole log up front when
+    /// it is known, grown per node otherwise; not-yet-arrived nodes are
+    /// untouched singletons).
     uf: UnionFind,
     /// Cached CCDF, invalidated by any delta.
     ccdf: Option<Vec<(f64, f64)>>,
@@ -179,63 +180,45 @@ impl DeltaObserver for MetricDeltas {
     }
 }
 
-/// One evolving graph plus incremental metric state over an event log —
-/// the incremental engine's shard state.
+/// One evolving graph plus per-metric incremental state, fed one event
+/// at a time: the incremental engine itself. [`EngineState`] drives it
+/// with a cursor over a complete [`EventLog`]; a consumer whose log is
+/// still arriving (the live follow head) feeds it events directly.
 #[derive(Debug)]
-pub struct EngineState<'a> {
-    replayer: Replayer<'a>,
+pub struct LiveEngine {
+    graph: DynamicGraph,
     deltas: MetricDeltas,
 }
 
-impl<'a> EngineState<'a> {
-    /// Fresh engine state at the beginning of `log`.
-    pub fn new(log: &'a EventLog) -> Self {
-        EngineState {
-            replayer: Replayer::new(log),
-            deltas: MetricDeltas::new(log.num_nodes() as usize),
+impl LiveEngine {
+    /// An empty graph with no metric state.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty engine with room for `nodes` nodes.
+    fn with_capacity(nodes: usize) -> Self {
+        LiveEngine {
+            graph: DynamicGraph::with_capacity(nodes),
+            deltas: MetricDeltas::new(nodes),
         }
     }
 
-    /// Engine state seeded from a day-boundary [`ReplayCheckpoint`]
-    /// (see [`day_checkpoint`]): the event prefix is replayed through the
-    /// delta observer, because incremental state cannot be reconstructed
-    /// from the position alone. Refuses checkpoints from another trace or
-    /// not on a day boundary.
-    pub fn seed(log: &'a EventLog, cp: &ReplayCheckpoint) -> Result<Self, CheckpointError> {
-        if cp.fingerprint != log.fingerprint() {
-            return Err(CheckpointError::FingerprintMismatch {
-                recorded: cp.fingerprint,
-                actual: log.fingerprint(),
-            });
+    /// Apply one event, updating every delta. A rejected event leaves the
+    /// graph and the metric state untouched.
+    pub fn apply(&mut self, event: &Event) -> Result<(), ApplyError> {
+        match event.kind {
+            EventKind::AddNode { node, .. } if node.index() == self.graph.num_nodes() => {
+                self.deltas.uf.grow(node.index() + 1);
+            }
+            _ => {}
         }
-        let mut state = Self::new(log);
-        state.advance_through_day(cp.day);
-        if state.replayer.position() != cp.pos {
-            return Err(CheckpointError::Malformed(format!(
-                "checkpoint pos {} is not the day-{} boundary (expected {})",
-                cp.pos,
-                cp.day,
-                state.replayer.position()
-            )));
-        }
-        Ok(state)
-    }
-
-    /// Apply all events up to and including `day`, updating every delta.
-    pub fn advance_through_day(&mut self, day: Day) -> usize {
-        self.replayer
-            .advance_through_day_with(day, &mut self.deltas)
+        self.graph.apply_with(event, &mut self.deltas)
     }
 
     /// The live graph as of the last applied event.
     pub fn graph(&self) -> &DynamicGraph {
-        self.replayer.graph()
-    }
-
-    /// Capture the current position as a [`ReplayCheckpoint`] recording
-    /// `day` as the last fully-processed day.
-    pub fn checkpoint(&self, day: Day) -> ReplayCheckpoint {
-        self.replayer.checkpoint(day)
+        &self.graph
     }
 
     /// Node ids of the largest connected component from the live
@@ -243,8 +226,7 @@ impl<'a> EngineState<'a> {
     /// to [`crate::components::largest_component`] on a frozen snapshot
     /// of the same instant (the tie-break depends only on the partition).
     pub fn giant_component(&mut self) -> Vec<u32> {
-        let n = self.graph().num_nodes();
-        largest_component_of(&mut self.deltas.uf, n)
+        largest_component_of(&mut self.deltas.uf, self.graph.num_nodes())
     }
 
     /// `hist[d]` = number of nodes with current degree `d`.
@@ -267,7 +249,7 @@ impl<'a> EngineState<'a> {
     /// Exact triangle count: the graph's per-node counts summed, each
     /// triangle seen from its three corners.
     pub fn triangles(&self) -> u64 {
-        let g = self.graph();
+        let g = &self.graph;
         (0..g.num_nodes() as u32)
             .map(|u| g.node_triangles(NodeId(u)))
             .sum::<u64>()
@@ -289,6 +271,105 @@ impl<'a> EngineState<'a> {
         } else {
             3.0 * self.triangles() as f64 / triples as f64
         }
+    }
+}
+
+impl Default for LiveEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A [`LiveEngine`] replaying a complete event log day by day — the
+/// incremental engine's shard state. It dereferences to its engine for
+/// the graph and the metric reads.
+#[derive(Debug)]
+pub struct EngineState<'a> {
+    log: &'a EventLog,
+    /// Index of the next unapplied event.
+    pos: usize,
+    engine: LiveEngine,
+}
+
+impl<'a> EngineState<'a> {
+    /// Fresh engine state at the beginning of `log`.
+    pub fn new(log: &'a EventLog) -> Self {
+        EngineState {
+            log,
+            pos: 0,
+            engine: LiveEngine::with_capacity(log.num_nodes() as usize),
+        }
+    }
+
+    /// Engine state seeded from a day-boundary [`ReplayCheckpoint`]
+    /// (see [`day_checkpoint`]): the event prefix is replayed through the
+    /// delta observer, because incremental state cannot be reconstructed
+    /// from the position alone. Refuses checkpoints from another trace or
+    /// not on a day boundary.
+    pub fn seed(log: &'a EventLog, cp: &ReplayCheckpoint) -> Result<Self, CheckpointError> {
+        if cp.fingerprint != log.fingerprint() {
+            return Err(CheckpointError::FingerprintMismatch {
+                recorded: cp.fingerprint,
+                actual: log.fingerprint(),
+            });
+        }
+        let mut state = Self::new(log);
+        state.advance_through_day(cp.day);
+        if state.pos != cp.pos {
+            return Err(CheckpointError::Malformed(format!(
+                "checkpoint pos {} is not the day-{} boundary (expected {})",
+                cp.pos, cp.day, state.pos
+            )));
+        }
+        Ok(state)
+    }
+
+    /// Apply all events up to and including `day`, updating every delta.
+    /// Returns how many were applied.
+    pub fn advance_through_day(&mut self, day: Day) -> usize {
+        let events = self.log.events();
+        let end = Time::day_end(day);
+        let start = self.pos;
+        while self.pos < events.len() && events[self.pos].time < end {
+            // The log was validated at construction, so a malformed event
+            // here means the invariant chain is broken — fail loudly in
+            // every build profile instead of corrupting the state.
+            if let Err(e) = self.engine.apply(&events[self.pos]) {
+                panic!(
+                    "validated EventLog produced a malformed event at position {}: {e}",
+                    self.pos
+                );
+            }
+            self.pos += 1;
+        }
+        // One batched add per advance call, not one per event: replay is
+        // the hottest loop in the workspace.
+        osn_obs::counter!("replay.events").add((self.pos - start) as u64);
+        self.pos - start
+    }
+
+    /// Capture the current position as a [`ReplayCheckpoint`] recording
+    /// `day` as the last fully-processed day.
+    pub fn checkpoint(&self, day: Day) -> ReplayCheckpoint {
+        ReplayCheckpoint {
+            pos: self.pos,
+            day,
+            fingerprint: self.log.fingerprint(),
+        }
+    }
+}
+
+impl std::ops::Deref for EngineState<'_> {
+    type Target = LiveEngine;
+
+    fn deref(&self) -> &LiveEngine {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for EngineState<'_> {
+    fn deref_mut(&mut self) -> &mut LiveEngine {
+        &mut self.engine
     }
 }
 
@@ -570,5 +651,37 @@ mod tests {
             assert_eq!(*day, days[idx]);
             assert!(*nodes > 0);
         }
+    }
+
+    #[test]
+    fn live_engine_matches_engine_state_on_every_day() {
+        let log = multi_day_log();
+        let mut state = EngineState::new(&log);
+        let mut live = LiveEngine::new();
+        let mut next = 0;
+        for day in 0..=log.end_day() {
+            state.advance_through_day(day);
+            let events = log.events();
+            while next < events.len() && events[next].time < Time::day_end(day) {
+                live.apply(&events[next]).unwrap();
+                next += 1;
+            }
+            let (a, b) = (live.graph(), state.graph());
+            assert_eq!(a.num_nodes(), b.num_nodes(), "day {day}");
+            assert_eq!(a.num_edges(), b.num_edges(), "day {day}");
+            for u in 0..a.num_nodes() as u32 {
+                assert_eq!(a.neighbors(NodeId(u)), b.neighbors(NodeId(u)));
+                assert_eq!(a.node_triangles(NodeId(u)), b.node_triangles(NodeId(u)));
+            }
+            assert_eq!(live.giant_component(), state.giant_component(), "day {day}");
+        }
+        // A rejected event changes nothing.
+        let dup = log
+            .edge_events()
+            .next()
+            .map(|(t, u, v)| Event::edge(t, u, v));
+        let before = live.graph().num_edges();
+        assert!(live.apply(&dup.unwrap()).is_err());
+        assert_eq!(live.graph().num_edges(), before);
     }
 }

@@ -53,7 +53,7 @@ pub use clustering::{average_clustering, local_clustering};
 pub use components::{component_sizes, largest_component};
 pub use degree::{average_degree, degree_ccdf, degree_distribution};
 pub use diameter::effective_diameter;
-pub use engine::{day_sweep, EngineConfig, EngineKind, EngineState};
+pub use engine::{day_sweep, EngineConfig, EngineKind, EngineState, LiveEngine};
 pub use incremental::IncrementalMetrics;
 pub use kcore::{core_numbers, core_profile, degeneracy};
 pub use parallel::par_map;

@@ -879,8 +879,8 @@ fn work_one(shared: &Shared, shard: usize, job: Job, policy: &mut HandlerPolicy)
     }
     let (handled, body_consumed) = match (route, &shared.write) {
         (Route::PostEvents, Some(write)) => {
-            let handled =
-                write.handle_post(&mut flow.conn, &head, started + shared.request_timeout);
+            let deadline = started + shared.request_timeout;
+            let handled = write.handle_post(&mut flow.conn, &head, deadline, &shared.live);
             // Only a 2xx proves the body was consumed in full.
             let consumed = handled.response.status < 300;
             (handled, consumed)

@@ -180,9 +180,16 @@ impl WriteState {
     }
 
     /// Execute an admitted `POST /v1/events`: read the body under the
-    /// request deadline, parse it, and append to the WAL. Returns the
-    /// response plus the access-log reason.
-    pub fn handle_post(&self, conn: &mut Conn, head: &RequestHead, deadline: Instant) -> Handled {
+    /// request deadline, parse it, and append to the WAL, waking the live
+    /// head on a new batch. Returns the response plus the access-log
+    /// reason.
+    pub fn handle_post(
+        &self,
+        conn: &mut Conn,
+        head: &RequestHead,
+        deadline: Instant,
+        live: &LiveQuery,
+    ) -> Handled {
         let body = match conn.read_body(head, self.cfg.max_body_bytes, deadline) {
             Ok(body) => body,
             Err(err) => return body_error_response(&err),
@@ -206,6 +213,8 @@ impl WriteState {
                 osn_obs::counter!("write.events").add(ack.events);
                 if ack.duplicate {
                     osn_obs::counter!("write.duplicates").inc();
+                } else {
+                    live.notify_appended();
                 }
                 let status = if ack.duplicate { 200 } else { 201 };
                 Handled {
